@@ -27,10 +27,11 @@ use cq_ndp::{NdpEngine, OptimizerKind};
 use cq_sim::hwcost::{acceleration_core_cost, ndp_engine_cost, DRAM_STANDBY_MW};
 use cq_sim::mapping::{Mapping, MappingPolicy, MatShape};
 use cq_sim::{
-    CacheStats, Component, EnergyBreakdown, EnergyModel, HwCostCache, HwCostKey, Phase,
-    PhaseBreakdown, SimResult,
+    CacheStats, CanonicalKey, Component, EnergyBreakdown, EnergyModel, HwCostCache, HwCostKey,
+    Phase, PhaseBreakdown, SimResult,
 };
 use cq_workloads::Network;
+use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 /// Everything one training-iteration simulation produces, memoized as a
@@ -207,49 +208,33 @@ impl CambriconQ {
         (run.result.clone(), run.ecc)
     }
 
-    /// The cache key of one whole-iteration run.
+    /// The canonical `HwCostCache` key of one whole-iteration run.
     ///
-    /// The key captures *every* input the simulation reads: the full
-    /// `CqConfig` (PE geometry, formats, DDR timing, fault/ECC settings),
-    /// the optimizer, the network description, and the mapping policy
-    /// (including any table contents), rendered via `Debug` — plus a
-    /// canonical IEEE-754 bit section for every float field, because the
-    /// Debug text aliases NaN payloads (and formatter changes could
-    /// alias signed zeros), which would cross-serve cached costs between
-    /// distinct configs. The energy model is a constant (`tsmc45`) and
-    /// so needs no key part.
-    pub(crate) fn run_key(&self, net: &Network, optimizer: OptimizerKind) -> HwCostKey {
-        HwCostKey::new(
-            "cambricon-q",
-            format!(
-                "{:?}|{:?}|{:?}|map={:?}|bits:{};{}",
-                self.config,
-                optimizer,
-                net,
-                self.mapping,
-                crate::keyspec::config_float_bits(&self.config),
-                crate::keyspec::optimizer_float_bits(&optimizer),
-            ),
-        )
-    }
-
-    /// The canonical `HwCostCache` key of one whole-iteration run — the
-    /// public view of [`CambriconQ::run_key`]. The sweep daemon coalesces
-    /// identical in-flight cells by this key, which keeps the coalescing
-    /// exactly as strict as the cache: two requests coalesce iff a cache
-    /// hit would have served the second one byte-identically anyway.
+    /// The key captures *every* input the simulation reads as canonical
+    /// bytes: the full `CqConfig` (PE geometry, formats, DDR timing,
+    /// fault/ECC settings) and the optimizer through their
+    /// [`CanonicalKey`] impls, which write floats bit-exactly, then the
+    /// network description and the mapping policy (including any table
+    /// contents) through their derived `Hash`. The energy model is a
+    /// constant (`tsmc45`) and so needs no key part. The sweep daemon
+    /// coalesces identical in-flight cells by this key, so two requests
+    /// coalesce iff a cache hit would have served the second one anyway.
     pub fn cache_key(&self, net: &Network, optimizer: OptimizerKind) -> HwCostKey {
-        self.run_key(net, optimizer)
+        HwCostKey::of("cambricon-q", |w| {
+            self.config.write_key(w);
+            optimizer.write_key(w);
+            (net, &self.mapping).hash(w);
+        })
     }
 
     /// The memoized whole-iteration run for this (config, optimizer, net,
-    /// mapping policy), keyed by [`CambriconQ::run_key`].
+    /// mapping policy), keyed by [`CambriconQ::cache_key`].
     ///
     /// Inference ([`CambriconQ::simulate_inference`]) and external-baseline
     /// simulations are deliberately uncached: they are not re-invoked with
     /// identical inputs inside sweeps often enough to matter.
     fn cached_run(&self, net: &Network, optimizer: OptimizerKind) -> Arc<CachedRun> {
-        let key = self.run_key(net, optimizer);
+        let key = self.cache_key(net, optimizer);
         sim_cache().get_or_compute(key, || self.fresh_run(net, optimizer))
     }
 
@@ -727,8 +712,8 @@ mod tests {
         pos.ddr.ecc.check_pj_per_byte = 0.0;
         let mut neg = pos.clone();
         neg.ddr.ecc.check_pj_per_byte = -0.0;
-        let key_pos = CambriconQ::new(pos.clone()).run_key(&net, sgd());
-        let key_neg = CambriconQ::new(neg).run_key(&net, sgd());
+        let key_pos = CambriconQ::new(pos.clone()).cache_key(&net, sgd());
+        let key_neg = CambriconQ::new(neg).cache_key(&net, sgd());
         assert_ne!(key_pos, key_neg, "-0.0 and 0.0 must key separately");
         // NaN-payload optimizer hyperparameters must also key separately.
         let quiet = OptimizerKind::Sgd { lr: f32::NAN };
@@ -736,11 +721,11 @@ mod tests {
             lr: f32::from_bits(f32::NAN.to_bits() ^ 0x1),
         };
         let chip = CambriconQ::new(pos.clone());
-        assert_ne!(chip.run_key(&net, quiet), chip.run_key(&net, payload));
+        assert_ne!(chip.cache_key(&net, quiet), chip.cache_key(&net, payload));
         // Bit-identical inputs still share a key (the memoization works).
         assert_eq!(
-            CambriconQ::new(pos.clone()).run_key(&net, sgd()),
-            CambriconQ::new(pos).run_key(&net, sgd()),
+            CambriconQ::new(pos.clone()).cache_key(&net, sgd()),
+            CambriconQ::new(pos).cache_key(&net, sgd()),
         );
     }
 

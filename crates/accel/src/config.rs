@@ -2,7 +2,9 @@
 
 use cq_mem::DdrConfig;
 use cq_quant::IntFormat;
+use cq_sim::{CanonicalKey, KeyBytes};
 use std::fmt;
+use std::hash::Hash;
 
 /// Scaling variants of the architecture (paper §VII.A, Fig. 13).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -184,6 +186,33 @@ impl CqConfig {
             pe_cols: self.pe_cols as u64,
             pe_arrays: self.pe_arrays as u64,
         }
+    }
+}
+
+impl CanonicalKey for CqConfig {
+    fn write_key(&self, out: &mut KeyBytes) {
+        let CqConfig {
+            pe_rows,
+            pe_cols,
+            pe_arrays,
+            freq_ghz,
+            nbin_kb,
+            sb_kb,
+            nbout_kb,
+            squ_buf_bytes,
+            squ_lanes,
+            e2bqm_ways,
+            squ_units,
+            qbc_line_words,
+            train_format,
+            ndp_enabled,
+            ddr,
+        } = self;
+        (pe_rows, pe_cols, pe_arrays, freq_ghz.to_bits()).hash(out);
+        (nbin_kb, sb_kb, nbout_kb, squ_buf_bytes).hash(out);
+        (squ_lanes, e2bqm_ways, squ_units, qbc_line_words).hash(out);
+        (train_format, ndp_enabled).hash(out);
+        ddr.write_key(out);
     }
 }
 

@@ -30,7 +30,6 @@ mod chip;
 pub mod compiler;
 mod config;
 mod exec;
-mod keyspec;
 mod machine;
 pub mod mapping_search;
 pub mod pe;

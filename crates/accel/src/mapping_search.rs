@@ -44,11 +44,12 @@
 
 use crate::chip::{CambriconQ, LayerMapEval};
 use cq_sim::mapping::{pe_sweep_cycles, LoopOrder, Mapping, MappingTable, MatShape, MemHierarchy};
-use cq_sim::{HwCostCache, HwCostKey};
+use cq_sim::{CanonicalKey, HwCostCache, HwCostKey};
 use cq_tune::two_stage;
 use cq_workloads::{Layer, MatmulDims, Network};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 /// Candidates whose reload + spill bytes exceed this multiple of the
@@ -314,21 +315,10 @@ pub fn search_layer(
     batch: usize,
     layer: &Layer,
 ) -> Arc<LayerSearch> {
-    let key = HwCostKey::new(
-        "mapping-search",
-        format!(
-            "{:?}|{net_name}|{}|b{batch}|{:?}|{}/{}/{}|bits:{}",
-            chip.config(),
-            layer.name,
-            layer.as_matmuls(batch),
-            layer.input_count(),
-            layer.output_count(),
-            layer.weight_count(),
-            // Debug aliases NaN payloads in the config's float fields;
-            // the bit section keeps distinct configs on distinct keys.
-            crate::keyspec::config_float_bits(chip.config()),
-        ),
-    );
+    let key = HwCostKey::of("mapping-search", |w| {
+        chip.config().write_key(w);
+        (net_name, batch, layer).hash(w);
+    });
     search_cache().get_or_compute(key, || run_search(chip, layer, batch))
 }
 

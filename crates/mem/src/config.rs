@@ -1,13 +1,15 @@
 //! DDR geometry and timing configuration.
 
 use crate::ecc::{EccConfig, FaultModel};
+use cq_sim::{CanonicalKey, KeyBytes};
 use std::fmt;
+use std::hash::Hash;
 
 /// Timing parameters of the DDR device, in memory-controller clock cycles.
 ///
 /// Defaults model a DDR3-1066-class part (the paper's 17.06 GB/s
 /// configuration is an 8-byte bus at 2133 MT/s, i.e. a 1066 MHz DDR clock).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DdrTiming {
     /// RAS-to-CAS delay (row activate to column access).
     pub t_rcd: u64,
@@ -119,6 +121,26 @@ impl DdrConfig {
     /// Bytes per burst (BL8).
     pub fn burst_bytes(&self) -> usize {
         self.bus_bytes * 8
+    }
+}
+
+impl CanonicalKey for DdrConfig {
+    fn write_key(&self, out: &mut KeyBytes) {
+        let DdrConfig {
+            banks,
+            row_bytes,
+            bus_bytes,
+            freq_mhz,
+            timing,
+            ecc,
+            fault,
+        } = self;
+        (banks, row_bytes, bus_bytes, freq_mhz.to_bits(), timing).hash(out);
+        ecc.write_key(out);
+        fault.is_some().hash(out);
+        if let Some(fault) = fault {
+            fault.write_key(out);
+        }
     }
 }
 

@@ -23,11 +23,14 @@
 //! no fault process is bit-identical to one built before this module
 //! existed.
 
+use cq_sim::{CanonicalKey, KeyBytes};
+use std::hash::Hash;
+
 /// Bytes per ECC word (Hamming(72,64) protects 64 data bits).
 pub const ECC_WORD_BYTES: usize = 8;
 
 /// ECC protection mode of the DDR interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EccMode {
     /// No protection: injected faults pass through silently.
     #[default]
@@ -92,6 +95,22 @@ impl EccConfig {
     }
 }
 
+impl CanonicalKey for EccConfig {
+    fn write_key(&self, out: &mut KeyBytes) {
+        let EccConfig {
+            mode,
+            check_cycles,
+            correct_cycles,
+            check_pj_per_byte,
+            correct_pj,
+            storage_overhead,
+        } = self;
+        (mode, check_cycles, correct_cycles).hash(out);
+        let floats = [check_pj_per_byte, correct_pj, storage_overhead];
+        floats.map(|f| f.to_bits()).hash(out);
+    }
+}
+
 impl Default for EccConfig {
     fn default() -> Self {
         EccConfig::off()
@@ -121,6 +140,13 @@ impl FaultModel {
             "bit error rate must be in [0, 1], got {ber}"
         );
         FaultModel { ber, seed }
+    }
+}
+
+impl CanonicalKey for FaultModel {
+    fn write_key(&self, out: &mut KeyBytes) {
+        let FaultModel { ber, seed } = self;
+        (ber.to_bits(), seed).hash(out);
     }
 }
 

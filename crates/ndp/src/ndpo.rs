@@ -13,7 +13,9 @@
 //! realized: `c5_t = η·√(1−β2ᵗ)/(1−β1ᵗ)`).
 
 use crate::error::NdpError;
+use cq_sim::{CanonicalKey, KeyBytes};
 use std::fmt;
+use std::hash::Hash;
 
 /// Which optimizer the NDPO is configured as.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,6 +46,19 @@ pub enum OptimizerKind {
         /// Second-moment decay.
         beta2: f32,
     },
+}
+
+impl CanonicalKey for OptimizerKind {
+    fn write_key(&self, out: &mut KeyBytes) {
+        std::mem::discriminant(self).hash(out);
+        match *self {
+            OptimizerKind::Sgd { lr } | OptimizerKind::AdaGrad { lr } => lr.to_bits().hash(out),
+            OptimizerKind::RmsProp { lr, beta } => (lr.to_bits(), beta.to_bits()).hash(out),
+            OptimizerKind::Adam { lr, beta1, beta2 } => {
+                [lr, beta1, beta2].map(f32::to_bits).hash(out)
+            }
+        }
+    }
 }
 
 impl OptimizerKind {

@@ -4,11 +4,13 @@
 //! cq_serve [--addr 127.0.0.1:4655] [--workers N] [--queue-cap N] [--retry-after-ms N]
 //! ```
 //!
-//! Prints `cq-serve listening on <addr>` once the socket is bound (CI
-//! waits for that line), then serves until SIGTERM/SIGINT or a
-//! protocol-level `{"type":"shutdown"}` request. Shutdown drains every
-//! admitted cell before exiting, and `CQ_TRACE`/`CQ_OBS` observability
-//! flushes on the way out, so traces stay valid.
+//! Aborts before binding when `CQ_MAPPING`, `CQ_HWCACHE` or
+//! `CQ_HWCACHE_CAP` is invalid. Prints `cq-serve listening on <addr>`
+//! once the socket is bound (CI waits for that line), then serves until
+//! SIGTERM/SIGINT or a protocol-level `{"type":"shutdown"}` request.
+//! Shutdown drains every admitted cell before exiting, and
+//! `CQ_TRACE`/`CQ_OBS` observability flushes on the way out, so traces
+//! stay valid.
 
 #![deny(unsafe_code)]
 
@@ -86,6 +88,12 @@ fn main() {
             }
         }
     }
+
+    // A bad memo knob aborts here, naming the variable, not after
+    // "listening" in every connection handler.
+    cq_sim::mapping::env_policy();
+    cq_sim::hwcache_enabled();
+    cq_sim::hwcache_cap();
 
     if let Err(e) = cq_obs::init_from_env() {
         eprintln!("cq_serve: observability init failed: {e}");

@@ -506,3 +506,41 @@ fn loadgen_quick_run_is_clean_against_a_live_daemon() {
     assert_eq!(report.mismatches, 0);
     stop(&handle, join);
 }
+
+#[test]
+fn bad_memo_knobs_abort_the_daemon_before_it_listens() {
+    let knobs = ["CQ_MAPPING", "CQ_HWCACHE", "CQ_HWCACHE_CAP"];
+    for (var, bad) in [
+        ("CQ_MAPPING", "serach"),
+        ("CQ_HWCACHE", "offf"),
+        ("CQ_HWCACHE_CAP", "1e6"),
+    ] {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_cq_serve"));
+        for knob in knobs {
+            cmd.env_remove(knob);
+        }
+        let mut child = cmd
+            .env(var, bad)
+            .args(["--addr", "127.0.0.1:0"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn cq_serve");
+        // A daemon that got past the check would serve forever.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while child.try_wait().expect("poll cq_serve").is_none() {
+            if std::time::Instant::now() > deadline {
+                child.kill().expect("kill cq_serve");
+                child.wait().expect("reap cq_serve");
+                panic!("cq_serve kept running with {var}={bad}");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("cq_serve output");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{var}={bad} exited 0");
+        assert!(!stdout.contains("listening"), "{var}={bad}: {stdout}");
+        assert!(stderr.contains(var), "{var}={bad}: {stderr}");
+    }
+}

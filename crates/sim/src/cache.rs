@@ -11,11 +11,13 @@
 //! # Keying
 //!
 //! A [`HwCostKey`] is a `domain` tag (which simulator produced the entry)
-//! plus a `spec` string that must capture *every* input the simulation
-//! depends on — by convention the `Debug` rendering of the full config,
-//! optimizer and network description. Debug-format keying is deliberately
-//! conservative: any field change, even one that would not affect the
-//! result, changes the key and forces a fresh computation.
+//! plus `spec`, canonical bytes of *every* input the simulation depends
+//! on, written through [`HwCostKey::of`]: derived `Hash` for float-free
+//! inputs (it writes enum tags, length prefixes and `str` terminators, so
+//! the bytes are prefix-free), [`CanonicalKey`] for inputs with floats.
+//! Keying is deliberately conservative: any field change, even one that
+//! would not affect the result, changes the key and forces a fresh
+//! computation. Every hit compares the bytes exactly; there is no digest.
 //!
 //! # Sharding
 //!
@@ -67,35 +69,52 @@ pub const DEFAULT_SHARDS: usize = 16;
 pub struct HwCostKey {
     /// Which simulator produced the entry (e.g. `"cambricon-q"`).
     pub domain: &'static str,
-    /// Everything the simulation depends on, rendered to a string
-    /// (conventionally via `Debug` on the config/optimizer/network).
-    pub spec: String,
+    /// Everything the simulation depends on, as canonical bytes
+    /// (see [`HwCostKey::of`]).
+    pub spec: Vec<u8>,
 }
 
 impl HwCostKey {
-    /// Creates a key.
-    pub fn new(domain: &'static str, spec: impl Into<String>) -> Self {
+    /// Creates a key from ready-made spec bytes (or a string).
+    pub fn new(domain: &'static str, spec: impl Into<Vec<u8>>) -> Self {
         HwCostKey {
             domain,
             spec: spec.into(),
         }
     }
+
+    /// Creates a key whose spec is whatever `write` records into a
+    /// [`KeyBytes`].
+    pub fn of(domain: &'static str, write: impl FnOnce(&mut KeyBytes)) -> Self {
+        let mut bytes = KeyBytes::default();
+        write(&mut bytes);
+        HwCostKey::new(domain, bytes.0)
+    }
 }
 
-/// Canonical spec fragment for an `f32` key field: the IEEE-754 bit
-/// pattern in fixed-width hex. Text renderings of floats alias values
-/// the simulator distinguishes — every NaN payload formats as `NaN`,
-/// and a formatter (or a future `Display`-based spec) may collapse
-/// `-0.0` into `0.0` — so float fields of a [`HwCostKey`] spec must go
-/// through this encoding: two floats produce the same fragment iff
-/// they are bit-identical.
-pub fn key_f32(v: f32) -> String {
-    format!("f32:{:08x}", v.to_bits())
+/// A [`Hasher`] that records every byte written to it instead of
+/// digesting them: feeding a value's `Hash` impl through it yields that
+/// value's canonical key bytes.
+#[derive(Debug, Default)]
+pub struct KeyBytes(Vec<u8>);
+
+impl Hasher for KeyBytes {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    /// Only there to satisfy [`Hasher`]: the recorded bytes are the key.
+    fn finish(&self) -> u64 {
+        self.0.len() as u64
+    }
 }
 
-/// Canonical spec fragment for an `f64` key field (see [`key_f32`]).
-pub fn key_f64(v: f64) -> String {
-    format!("f64:{:016x}", v.to_bits())
+/// Canonical key bytes of an input with floats, which cannot derive
+/// `Hash`. Impls destructure every field with no `..`, so a new field
+/// does not compile until it is keyed, and write floats via `to_bits`.
+pub trait CanonicalKey {
+    /// Appends this value's canonical bytes to `out`.
+    fn write_key(&self, out: &mut KeyBytes);
 }
 
 /// Hit/miss/size statistics snapshot.
@@ -436,19 +455,20 @@ mod tests {
     }
 
     #[test]
-    fn key_float_fragments_are_bit_exact() {
-        // Signed zeros are distinct cache inputs.
-        assert_ne!(key_f32(0.0), key_f32(-0.0));
-        assert_ne!(key_f64(0.0), key_f64(-0.0));
-        // NaN payloads must not collapse: Debug renders both as "NaN".
-        let quiet = f32::NAN;
-        let payload = f32::from_bits(quiet.to_bits() ^ 0x1);
-        assert_eq!(format!("{quiet:?}"), format!("{payload:?}"));
-        assert_ne!(key_f32(quiet), key_f32(payload));
-        // Bit-identical values agree; fragments are fixed width.
-        assert_eq!(key_f32(1.5), key_f32(1.5));
-        assert_eq!(key_f32(1.0), "f32:3f800000");
-        assert_eq!(key_f64(1.0), "f64:3ff0000000000000");
+    fn key_bytes_are_prefix_free() {
+        fn bytes_of(v: &impl Hash) -> Vec<u8> {
+            let mut out = KeyBytes::default();
+            v.hash(&mut out);
+            out.0
+        }
+        assert_ne!(bytes_of(&("ab", "c")), bytes_of(&("a", "bc")));
+        assert_ne!(bytes_of(&Some(0u8)), bytes_of(&None::<u8>));
+        assert_ne!(
+            bytes_of(&vec![vec![1u8], vec![]]),
+            bytes_of(&vec![vec![], vec![1u8]])
+        );
+        // Equal values record equal bytes.
+        assert_eq!(bytes_of(&("ab", "c")), bytes_of(&("ab", "c")));
     }
 
     #[test]

@@ -492,7 +492,7 @@ impl MappingEval {
 }
 
 /// A per-layer mapping table, keyed `network/layer`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct MappingTable {
     entries: BTreeMap<String, Mapping>,
 }
@@ -579,7 +579,7 @@ impl MappingTable {
 }
 
 /// Process-wide mapping policy selected by `CQ_MAPPING`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MappingPolicy {
     /// The committed streaming default for every layer (byte-identical
     /// to the pre-mapping simulator).

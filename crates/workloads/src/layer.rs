@@ -8,7 +8,7 @@
 use std::fmt;
 
 /// The kind of a network layer, with its dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// 2-D convolution: `in_c × in_h × in_w` inputs, `out_c` filters of
     /// `kh × kw`, producing `out_c × out_h × out_w`.
@@ -74,7 +74,7 @@ pub enum LayerKind {
 }
 
 /// A named layer of a network.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Layer {
     /// Layer name ("conv1", "fc6", "inception3a.1x1", ...).
     pub name: String,

@@ -4,7 +4,7 @@ use crate::layer::Layer;
 use std::fmt;
 
 /// A benchmark network: its layers, dataset and minibatch size (Table VI).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Network {
     /// Network name ("AlexNet", ...).
     pub name: String,
