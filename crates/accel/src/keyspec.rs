@@ -1,84 +1,53 @@
-//! Canonical cache-key fragments for the float inputs of a simulation.
+//! Regression tests for the float inputs of [`CambriconQ::cache_key`].
 //!
-//! `HwCostKey` specs use a conservative `Debug` backbone, which is
-//! exact for integer and enum fields but *text-aliases* floats: every
-//! NaN payload renders as `NaN`, and a formatting change could collapse
-//! `-0.0` into `0.0`. Two configs differing only in such a field would
-//! then cross-serve each other's cached cost. Every key site appends
-//! the fragments below (built on [`cq_sim::key_f32`]/[`cq_sim::key_f64`]
-//! IEEE-754 bit encoding) so the key distinguishes configs exactly when
-//! their float fields are not bit-identical.
-
-use cq_ndp::OptimizerKind;
-use cq_sim::{key_f32, key_f64};
-
-use crate::config::CqConfig;
-
-/// Bit-exact fragment covering every float field a [`CqConfig`] carries:
-/// core clock, DDR clock, the three ECC energy/overhead parameters, and
-/// the fault-model bit-error rate when present.
-pub(crate) fn config_float_bits(config: &CqConfig) -> String {
-    let ecc = &config.ddr.ecc;
-    let ber = match &config.ddr.fault {
-        Some(f) => key_f64(f.ber),
-        None => "none".to_string(),
-    };
-    format!(
-        "freq={} ddr={} ecc={}/{}/{} ber={}",
-        key_f64(config.freq_ghz),
-        key_f64(config.ddr.freq_mhz),
-        key_f64(ecc.check_pj_per_byte),
-        key_f64(ecc.correct_pj),
-        key_f64(ecc.storage_overhead),
-        ber,
-    )
-}
-
-/// Bit-exact fragment covering every float hyperparameter of an
-/// [`OptimizerKind`].
-pub(crate) fn optimizer_float_bits(optimizer: &OptimizerKind) -> String {
-    match *optimizer {
-        OptimizerKind::Sgd { lr } => format!("sgd lr={}", key_f32(lr)),
-        OptimizerKind::AdaGrad { lr } => format!("adagrad lr={}", key_f32(lr)),
-        OptimizerKind::RmsProp { lr, beta } => {
-            format!("rmsprop lr={} beta={}", key_f32(lr), key_f32(beta))
-        }
-        OptimizerKind::Adam { lr, beta1, beta2 } => format!(
-            "adam lr={} b1={} b2={}",
-            key_f32(lr),
-            key_f32(beta1),
-            key_f32(beta2)
-        ),
-    }
-}
+//! A text rendering of the key inputs aliases floats: every NaN payload
+//! renders as `NaN`, and a formatting change could collapse `-0.0` into
+//! `0.0`. Two configs differing only in such a field would then
+//! cross-serve each other's cached cost. The keys are canonical bytes
+//! (floats via `to_bits`), so they must differ exactly when the float
+//! fields are not bit-identical.
+//!
+//! [`CambriconQ::cache_key`]: crate::CambriconQ::cache_key
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use cq_ndp::OptimizerKind;
+    use cq_sim::HwCostKey;
+    use cq_workloads::models;
+
+    use crate::{CambriconQ, CqConfig};
+
+    fn key(config: &CqConfig, optimizer: OptimizerKind) -> HwCostKey {
+        CambriconQ::new(config.clone()).cache_key(&models::squeezenet_v1(), optimizer)
+    }
+
+    fn sgd() -> OptimizerKind {
+        OptimizerKind::Sgd { lr: 0.1 }
+    }
 
     #[test]
     fn signed_zero_config_fields_key_differently() {
-        // Regression for the Debug-keyed aliasing class: two configs
-        // identical except for a -0.0/0.0 ECC energy field must not
-        // share a cache key fragment.
+        // Two configs identical except for a -0.0/0.0 ECC energy field
+        // must not share a cache key.
         let mut pos = CqConfig::edge();
         pos.ddr.ecc.check_pj_per_byte = 0.0;
         let mut neg = pos.clone();
         neg.ddr.ecc.check_pj_per_byte = -0.0;
-        assert_ne!(config_float_bits(&pos), config_float_bits(&neg));
+        assert_ne!(key(&pos, sgd()), key(&neg, sgd()));
         // Bit-identical configs agree.
-        assert_eq!(config_float_bits(&pos), config_float_bits(&pos.clone()));
+        assert_eq!(key(&pos, sgd()), key(&pos.clone(), sgd()));
     }
 
     #[test]
     fn nan_payload_optimizer_fields_key_differently() {
-        // Debug renders every NaN as "NaN"; the bit fragment must not.
+        // Debug renders every NaN as "NaN"; the key must not.
         let quiet = f32::NAN;
         let payload = f32::from_bits(quiet.to_bits() ^ 0x1);
         let a = OptimizerKind::Sgd { lr: quiet };
         let b = OptimizerKind::Sgd { lr: payload };
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_ne!(optimizer_float_bits(&a), optimizer_float_bits(&b));
+        let config = CqConfig::edge();
+        assert_ne!(key(&config, a), key(&config, b));
     }
 
     #[test]
@@ -125,12 +94,9 @@ mod tests {
                 },
             ),
         ];
+        let config = CqConfig::edge();
         for (a, b) in pairs {
-            assert_ne!(
-                optimizer_float_bits(&a),
-                optimizer_float_bits(&b),
-                "{a:?} vs {b:?}"
-            );
+            assert_ne!(key(&config, a), key(&config, b), "{a:?} vs {b:?}");
         }
     }
 
@@ -143,9 +109,9 @@ mod tests {
             c.ddr = c.ddr.with_fault(FaultModel::new(ber, 7));
             c
         };
-        let none = config_float_bits(&base);
-        let low = config_float_bits(&with_fault(1e-9));
-        let high = config_float_bits(&with_fault(1e-6));
+        let none = key(&base, sgd());
+        let low = key(&with_fault(1e-9), sgd());
+        let high = key(&with_fault(1e-6), sgd());
         assert_ne!(none, low);
         assert_ne!(low, high);
     }

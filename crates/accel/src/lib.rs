@@ -30,6 +30,8 @@ mod chip;
 pub mod compiler;
 mod config;
 mod exec;
+#[cfg(test)]
+mod keyspec;
 mod machine;
 pub mod mapping_search;
 pub mod pe;
