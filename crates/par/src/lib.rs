@@ -28,6 +28,10 @@
 //!   weight matrix against every image's patch matrix).
 //! * [`conv`] — an im2col lowering that turns 2-D convolution (forward,
 //!   input-gradient and weight-gradient passes) into GEMM calls.
+//! * [`fake_quantize`], [`fake_quantize_scaled`], [`quantize_codes`] —
+//!   the quantize element loops of cq-quant's fast path (clamp-in-f32,
+//!   bitwise equal to the saturating-cast reference), with an AVX2 arm
+//!   behind the same [`SimdLevel`] dispatch as the GEMM micro-kernels.
 //!
 //! The crate deliberately operates on raw slices, not `cq-tensor`
 //! tensors, so `cq-tensor` can depend on it without a cycle; shape checks
@@ -72,6 +76,7 @@ mod gemm;
 mod gemm_i8;
 mod microkernel;
 mod pool;
+mod quantize;
 pub mod queue;
 pub mod tune;
 
@@ -85,6 +90,7 @@ pub use gemm_i8::{
 };
 pub use microkernel::{simd_level, SimdLevel, SUPPORTED_TILES};
 pub use pool::Pool;
+pub use quantize::{fake_quantize, fake_quantize_scaled, quantize_codes, QuantGrid};
 pub use queue::{BatchRejected, BoundedQueue};
 pub use tune::{
     active_plan, default_profile, describe_active_plan, parse_profile, render_profile, GemmPlan,

@@ -384,7 +384,7 @@ impl TrainingQuantizer {
             sp.arg("quantizer", self.name.as_str())
                 .arg("elems", x.len())
                 .arg("backend", "naive");
-            cq_obs::counter!("quant.calls").incr();
+            self.count_call(x.len());
         }
         match &self.scheme {
             QuantScheme::Fp32 => x.clone(),
@@ -417,6 +417,19 @@ impl TrainingQuantizer {
         }
     }
 
+    /// Adds one call and its statistic blocks to the `quant.calls` /
+    /// `quant.blocks` counters: one block per HQT block, one for a
+    /// layer-wise statistic, none for schemes without a statistic.
+    fn count_call(&self, len: usize) {
+        let blocks = match self.scheme {
+            QuantScheme::Hqt { block_size, .. } => len.div_ceil(block_size.max(1)),
+            QuantScheme::LayerWise { .. } => 1,
+            QuantScheme::Fp32 | QuantScheme::StaticRange { .. } | QuantScheme::MiniFp { .. } => 0,
+        };
+        cq_obs::counter!("quant.calls").incr();
+        cq_obs::counter!("quant.blocks").add(blocks as u64);
+    }
+
     /// Allocating wrapper over [`Self::fake_quantize_into`].
     pub fn fake_quantize_fast(&self, x: &Tensor) -> Tensor {
         let mut out = Vec::with_capacity(x.len());
@@ -441,15 +454,15 @@ impl TrainingQuantizer {
             sp.arg("quantizer", self.name.as_str())
                 .arg("elems", x.len())
                 .arg("backend", "fast");
-            cq_obs::counter!("quant.calls").incr();
+            self.count_call(x.len());
         }
         out.clear();
         let data = x.data();
         match &self.scheme {
             QuantScheme::Fp32 => out.extend_from_slice(data),
             QuantScheme::StaticRange { theta, format } => {
-                let p = QuantParams::symmetric(*theta, *format);
-                out.extend(data.iter().map(|&v| p.dequantize(p.quantize(v))));
+                out.resize(data.len(), 0.0);
+                fast::fake_quantize_block(data, QuantParams::symmetric(*theta, *format), out);
             }
             QuantScheme::MiniFp {
                 format,

@@ -341,18 +341,20 @@ impl E2bqmQuantizer {
         out
     }
 
-    /// Fused E²BQM on one raw block slice: θ, all candidate codes and all
-    /// error accumulators in a single pass, reusing `scratch`.
+    /// Fused E²BQM on one raw block slice: θ, all candidate values and
+    /// all error accumulators, reusing `scratch`; the winning way is then
+    /// re-quantized to codes.
     fn quantize_block_fused(&self, x: &[f32], scratch: &mut QuantScratch) -> E2bqmSelection {
         let theta = fast::block_theta(x);
         self.candidate_params_into(theta, &mut scratch.params);
         let way = fast::eval_candidates_shared(x, self.estimator, scratch);
+        // The value matrix holds dequantized values; the winner's codes
+        // are re-derived with the same kernel grid (bitwise the codes
+        // those values came from).
         let n = x.len();
-        let selected = QuantizedTensor::from_codes(
-            scratch.qvals[way * n..(way + 1) * n].to_vec(),
-            scratch.params[way],
-            &[n],
-        );
+        let mut codes = Vec::with_capacity(n);
+        fast::quantize_codes_into(x, scratch.params[way], &mut codes);
+        let selected = QuantizedTensor::from_codes(codes, scratch.params[way], &[n]);
         E2bqmSelection {
             selected,
             way,

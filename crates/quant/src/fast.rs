@@ -13,16 +13,19 @@
 //!
 //! * **LDQ**: θ and the quantized codes are produced while the block is
 //!   cache-resident — one read of the source slice, codes written straight
-//!   to the destination, no intermediate block tensors. The round/clamp
-//!   inner loop compiles branch-free (`round` + integer `clamp` lower to
-//!   conditional moves).
-//! * **E²BQM shared statistics**: all N candidates are evaluated in a
-//!   single pass over the block. Each candidate owns an error accumulator
-//!   updated per element; candidate codes land in a reused scratch matrix
-//!   so the winner is emitted without requantizing.
+//!   to the destination, no intermediate block tensors.
+//! * **E²BQM shared statistics**: each candidate's *dequantized* values
+//!   land in a reused f32 scratch matrix, then the estimators fold all
+//!   ways in one pass over the block, one accumulator per way; the winner
+//!   is emitted by copying its row.
 //! * **[`QuantScratch`]**: an arena holding the candidate parameter set,
-//!   the code matrix and the accumulators, so steady-state calls allocate
-//!   nothing.
+//!   the value matrix and the accumulators, so steady-state calls
+//!   allocate nothing.
+//!
+//! The element loops themselves — divide, round, clamp, dequantize — are
+//! the `cq_par` quantize kernels (`fake_quantize`, `fake_quantize_scaled`,
+//! `quantize_codes`), which clamp in f32 and dispatch to AVX2 where the
+//! CPU has it; this crate stays free of `unsafe`.
 //!
 //! # Bit-identity contract
 //!
@@ -37,6 +40,7 @@
 
 use crate::e2bqm::ErrorEstimator;
 use crate::format::QuantParams;
+use cq_par::QuantGrid;
 
 /// How large a tensor must be before block quantization fans out over the
 /// worker pool. Below this the pool's spawn cost (~tens of µs per region)
@@ -50,7 +54,7 @@ pub const PAR_MIN_BLOCKS: usize = 4;
 ///
 /// Thread one instance through repeated quantization calls (e.g. per
 /// training step) and the steady state performs zero heap allocations:
-/// the candidate parameter set, the per-candidate code matrix, the error
+/// the candidate parameter set, the per-candidate value matrix, the error
 /// accumulators and the error vector are all reused across calls.
 ///
 /// # Examples
@@ -71,9 +75,10 @@ pub struct QuantScratch {
     /// Candidate parameter set (ways entries), regenerated per block but
     /// never reallocated.
     pub(crate) params: Vec<QuantParams>,
-    /// Candidate code matrix, way-major: `qvals[w * n + i]` is candidate
-    /// `w`'s code for element `i`.
-    pub(crate) qvals: Vec<i32>,
+    /// Candidate value matrix, way-major: `qvals[w * n + i]` is candidate
+    /// `w`'s dequantized value for element `i`, bitwise
+    /// `p.dequantize(p.quantize(x[i]))`.
+    pub(crate) qvals: Vec<f32>,
     /// Shared quotients `x[i] / scale₀` when the candidate set admits the
     /// one-division path (see [`pow2_multiplier`]).
     pub(crate) ybuf: Vec<f32>,
@@ -144,29 +149,6 @@ pub fn effective_theta(theta: f32) -> f32 {
     }
 }
 
-/// 2²³ — above this every f32 magnitude is already integral.
-const ROUND_MAGIC: f32 = 8_388_608.0;
-
-/// Branch-free round-half-away-from-zero, bit-identical to [`f32::round`]
-/// over the entire f32 bit space (verified exhaustively — all 2³²
-/// patterns — when this kernel was written; `round_matches_std_round`
-/// keeps a stratified sample of that check in the suite).
-///
-/// `f32::round` lowers to `llvm.round.f32`, which the x86-64 baseline
-/// expands to a scalar sequence the auto-vectorizer refuses to touch —
-/// it is the single most expensive step of the naive quantize loop. This
-/// formulation (magic-number round-to-nearest-even, then pushing exact
-/// .5 ties away from zero with a select) is all adds/compares/selects,
-/// which LLVM vectorizes freely inside the block kernels below.
-#[inline]
-pub(crate) fn fast_round(y: f32) -> f32 {
-    let a = y.abs();
-    let t = (a + ROUND_MAGIC) - ROUND_MAGIC;
-    let u = if a - t == 0.5 { t + 1.0 } else { t };
-    let r = if a < ROUND_MAGIC { u } else { a };
-    r.copysign(y)
-}
-
 /// Returns the multiplier `m` such that `v / scale_w == (v / scale0) * m`
 /// **bitwise for every input `v`**, or `None` when no such multiplier is
 /// provable.
@@ -180,10 +162,10 @@ pub(crate) fn fast_round(y: f32) -> f32 {
 /// subnormal range, so gradual underflow cannot break the commutation).
 /// The one place the shortcut can produce different bits — a subnormal
 /// quotient `v/scale0` losing low bits before the scale-up — only yields
-/// values below 2⁻¹⁰⁰, which [`fast_round`] sends to ±0 either way, so
-/// the *codes* (the only consumer) are still identical. Degenerate or
-/// subnormal scales simply fail the check and take the per-way division
-/// path.
+/// values below 2⁻¹⁰⁰, which round to code 0 either way, so the codes
+/// (and the dequantized values, which depend only on them) are still
+/// identical. Degenerate or subnormal scales simply fail the check and
+/// take the per-way division path.
 ///
 /// This predicate is the **bitwise acceptance condition** shared by every
 /// power-of-two shortcut in the workspace: the shared-quotient E²BQM path
@@ -202,45 +184,36 @@ pub fn pow2_multiplier(scale0: f32, scale_w: f32) -> Option<f32> {
     }
 }
 
-/// Bit-identical, vectorizable equivalent of [`QuantParams::quantize`]:
-/// same subtraction/division, [`fast_round`] instead of the scalar
-/// `round` expansion, and a saturating f32→i32 cast + i32 clamp in place
-/// of the reference's i64 round trip (identical for every input because
-/// `[qmin, qmax] ⊂ i32` — values past either i32 bound saturate and then
-/// clamp to the same endpoint, and NaN casts to 0 in both widths).
+/// The cq-par kernel grid of `params`: its scale, offset and code range.
 #[inline]
-fn quantize_one(p: QuantParams, qmin: i32, qmax: i32, v: f32) -> i32 {
-    (fast_round((v - p.offset) / p.scale) as i32).clamp(qmin, qmax)
+fn grid(params: QuantParams) -> QuantGrid {
+    QuantGrid {
+        scale: params.scale,
+        offset: params.offset,
+        qmin: params.format.qmin(),
+        qmax: params.format.qmax(),
+    }
 }
 
 /// Fused LDQ block kernel: quantizes `x` with `params`, appending the
-/// codes to `codes`. The division/round/clamp sequence is branch-free.
+/// codes to `codes` — bitwise [`QuantParams::quantize`] per element.
 #[inline]
 pub(crate) fn quantize_codes_into(x: &[f32], params: QuantParams, codes: &mut Vec<i32>) {
-    let (qmin, qmax) = (params.format.qmin(), params.format.qmax());
-    // Resize + slice write (not `extend`): the per-push capacity check
-    // inside `extend` keeps LLVM from vectorizing the quantize loop.
     let start = codes.len();
     codes.resize(start + x.len(), 0);
-    for (c, &v) in codes[start..].iter_mut().zip(x) {
-        *c = quantize_one(params, qmin, qmax, v);
-    }
+    cq_par::quantize_codes(x, grid(params), &mut codes[start..]);
 }
 
 /// Fused LDQ fake-quantize kernel: writes `dequantize(quantize(x))` for
 /// one block straight into `out` (no intermediate codes).
 #[inline]
 pub(crate) fn fake_quantize_block(x: &[f32], params: QuantParams, out: &mut [f32]) {
-    debug_assert_eq!(x.len(), out.len());
-    let (qmin, qmax) = (params.format.qmin(), params.format.qmax());
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o = params.dequantize(quantize_one(params, qmin, qmax, v));
-    }
+    cq_par::fake_quantize(x, grid(params), out);
 }
 
 /// Shared-statistics E²BQM evaluation: one pass over `x` computes every
-/// candidate's codes (into `scratch.qvals`, way-major) and estimated error
-/// (into `scratch.errors`), then returns the winning way.
+/// candidate's dequantized values (into `scratch.qvals`, way-major) and
+/// estimated error (into `scratch.errors`), then returns the winning way.
 ///
 /// `scratch.params` must already hold the candidate set (see
 /// [`crate::E2bqmQuantizer::candidate_params_into`]).
@@ -260,7 +233,7 @@ pub(crate) fn eval_candidates_shared(
     // Same-size resize is a no-op, so steady-state calls (equal-sized
     // blocks) never touch the allocator or re-zero the matrix — every
     // in-range slot is overwritten below.
-    scratch.qvals.resize(ways * n, 0);
+    scratch.qvals.resize(ways * n, 0.0);
     scratch.acc.clear();
     scratch.acc.resize(ways, EstAcc::default());
 
@@ -311,64 +284,35 @@ pub(crate) fn eval_candidates_shared(
         }
     }
 
-    // Way-major evaluation over the cache-resident block. Per candidate,
-    // a store pass writes the codes (no loop-carried dependency, so the
-    // round/divide work vectorizes), then a fold pass runs the
-    // estimator's serial accumulation, dequantizing each code inline —
-    // the cast/multiply/add sits off the accumulator's latency chain, so
-    // it pipelines for free and the intermediate dequantized buffer (and
-    // its store/load traffic) disappears. Per accumulator, contributions
-    // arrive in ascending element order, so the sums are bitwise equal to
-    // the naive per-candidate quantize → dequantize → estimate round
-    // trips.
+    // Store passes: each way's dequantized values, written by the cq-par
+    // kernels (no loop-carried dependency, so they run at full SIMD
+    // width). Each value is bitwise `p.dequantize(p.quantize(x[i]))`.
     for (w, &p) in scratch.params.iter().enumerate() {
-        let codes = &mut scratch.qvals[w * n..(w + 1) * n];
-        let (qmin, qmax) = (p.format.qmin(), p.format.qmax());
+        let row = &mut scratch.qvals[w * n..(w + 1) * n];
         if shared {
-            let m = scratch.mults[w];
-            for (c, &y) in codes.iter_mut().zip(&scratch.ybuf) {
-                *c = (fast_round(y * m) as i32).clamp(qmin, qmax);
-            }
+            cq_par::fake_quantize_scaled(&scratch.ybuf, scratch.mults[w], grid(p), row);
         } else {
-            for (c, &v) in codes.iter_mut().zip(x) {
-                *c = quantize_one(p, qmin, qmax, v);
-            }
+            cq_par::fake_quantize(x, grid(p), row);
         }
-        let codes = &scratch.qvals[w * n..(w + 1) * n];
-        match estimator {
-            ErrorEstimator::Rectilinear => {
-                let mut s = 0.0f32;
-                for (&v, &c) in x.iter().zip(codes) {
-                    s += (v - p.dequantize(c)).abs();
-                }
-                scratch.acc[w].a32 = s;
-            }
-            ErrorEstimator::Cosine => {
-                let (mut dot, mut nsq) = (0.0f32, 0.0f32);
-                for (&v, &c) in x.iter().zip(codes) {
-                    let d = p.dequantize(c);
-                    dot += v * d;
-                    nsq += d * d;
-                }
-                scratch.acc[w].a32 = dot;
-                scratch.acc[w].b32 = nsq;
-            }
-            ErrorEstimator::MeanBias => {
-                let mut s = 0.0f32;
-                for &c in codes {
-                    s += p.dequantize(c);
-                }
-                scratch.acc[w].a32 = s;
-            }
-            ErrorEstimator::Mse => {
-                let mut s = 0.0f64;
-                for (&v, &c) in x.iter().zip(codes) {
-                    let e = (v - p.dequantize(c)) as f64;
-                    s += e * e;
-                }
-                scratch.acc[w].a64 = s;
-            }
+    }
+
+    // Fold passes: the estimator's serial accumulations, up to four ways
+    // per pass over the block so their latency chains overlap. Each
+    // accumulator still receives its contributions in ascending element
+    // order, so the sums are bitwise those of the naive per-candidate
+    // round trips.
+    let mut w0 = 0;
+    while w0 < ways {
+        let k = (ways - w0).min(FOLD_WAYS);
+        let rows = &scratch.qvals[w0 * n..(w0 + k) * n];
+        let acc = &mut scratch.acc[w0..w0 + k];
+        match k {
+            4 => fold_ways::<4>(x, rows, estimator, acc),
+            3 => fold_ways::<3>(x, rows, estimator, acc),
+            2 => fold_ways::<2>(x, rows, estimator, acc),
+            _ => fold_ways::<1>(x, rows, estimator, acc),
         }
+        w0 += k;
     }
 
     scratch.errors.clear();
@@ -409,17 +353,72 @@ pub(crate) fn eval_candidates_shared(
         .unwrap_or(0)
 }
 
-/// Dequantizes candidate `way`'s codes (from the scratch code matrix)
+/// Most ways one fold pass carries.
+const FOLD_WAYS: usize = 4;
+
+/// Folds `K` ways' dequantized rows (`rows`, way-major, `K · x.len()`
+/// values) into their accumulators in one pass over the block.
+#[inline]
+fn fold_ways<const K: usize>(
+    x: &[f32],
+    rows: &[f32],
+    estimator: ErrorEstimator,
+    acc: &mut [EstAcc],
+) {
+    let n = x.len();
+    let rows: [&[f32]; K] = std::array::from_fn(|j| &rows[j * n..][..n]);
+    match estimator {
+        ErrorEstimator::Rectilinear => {
+            let mut s = [0.0f32; K];
+            for (i, &v) in x.iter().enumerate() {
+                for j in 0..K {
+                    s[j] += (v - rows[j][i]).abs();
+                }
+            }
+            for (a, s) in acc.iter_mut().zip(s) {
+                a.a32 = s;
+            }
+        }
+        ErrorEstimator::Cosine => {
+            let (mut dot, mut nsq) = ([0.0f32; K], [0.0f32; K]);
+            for (i, &v) in x.iter().enumerate() {
+                for j in 0..K {
+                    let d = rows[j][i];
+                    dot[j] += v * d;
+                    nsq[j] += d * d;
+                }
+            }
+            for (a, (dot, nsq)) in acc.iter_mut().zip(dot.into_iter().zip(nsq)) {
+                a.a32 = dot;
+                a.b32 = nsq;
+            }
+        }
+        ErrorEstimator::MeanBias => {
+            for (a, row) in acc.iter_mut().zip(rows) {
+                a.a32 = row.iter().fold(0.0f32, |s, &d| s + d);
+            }
+        }
+        ErrorEstimator::Mse => {
+            let mut s = [0.0f64; K];
+            for (i, &v) in x.iter().enumerate() {
+                for j in 0..K {
+                    let e = (v - rows[j][i]) as f64;
+                    s[j] += e * e;
+                }
+            }
+            for (a, s) in acc.iter_mut().zip(s) {
+                a.a64 = s;
+            }
+        }
+    }
+}
+
+/// Copies candidate `way`'s dequantized values (from the scratch matrix)
 /// into `out` — the zero-allocation winner emission used by the fused
 /// fake-quantize path.
 #[inline]
 pub(crate) fn emit_winner(scratch: &QuantScratch, way: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), n);
-    let p = scratch.params[way];
-    let codes = &scratch.qvals[way * n..(way + 1) * n];
-    for (o, &q) in out.iter_mut().zip(codes) {
-        *o = p.dequantize(q);
-    }
+    out.copy_from_slice(&scratch.qvals[way * n..(way + 1) * n]);
 }
 
 #[cfg(test)]
@@ -438,34 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn round_matches_std_round() {
-        // Stratified sample of the exhaustive (all 2³²) verification run
-        // when the kernel was written: every 2¹⁰th bit pattern plus the
-        // known-treacherous neighborhoods of .5 ties and the 2²³ integral
-        // boundary.
-        let check = |y: f32| {
-            let (a, b) = (y.round(), fast_round(y));
-            assert!(
-                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
-                "fast_round({y:e}) = {b:e}, f32::round = {a:e}"
-            );
-        };
-        for step in 0..(1u64 << 22) {
-            check(f32::from_bits((step << 10) as u32));
-        }
-        for base in [0.5f32, 1.5, 2.5, 0.499_999_97, 8_388_607.5, ROUND_MAGIC] {
-            for delta in [-1, 0, 1i32] {
-                let v = f32::from_bits(base.to_bits().wrapping_add_signed(delta));
-                check(v);
-                check(-v);
-            }
-        }
-        for special in [0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            check(special);
-        }
-    }
-
-    #[test]
     fn quantize_one_matches_quant_params() {
         for p in [
             QuantParams::symmetric(1.0, IntFormat::Int8),
@@ -473,14 +444,19 @@ mod tests {
             QuantParams::symmetric(1e-30, IntFormat::Int16),
             QuantParams::symmetric(3e30, IntFormat::Int12),
         ] {
-            let (qmin, qmax) = (p.format.qmin(), p.format.qmax());
-            for step in 0..(1u64 << 16) {
-                let v = f32::from_bits((step << 16) as u32);
-                assert_eq!(
-                    quantize_one(p, qmin, qmax, v),
-                    p.quantize(v),
-                    "v={v:e} p={p:?}"
-                );
+            // Every 2¹⁶th bit pattern, so NaN, ±∞, ±0 and subnormals all
+            // appear, through both the code and the fake-quantize kernels.
+            let x: Vec<f32> = (0..(1u64 << 16))
+                .map(|step| f32::from_bits((step << 16) as u32))
+                .collect();
+            let mut codes = Vec::new();
+            quantize_codes_into(&x, p, &mut codes);
+            let mut fake = vec![0.0; x.len()];
+            fake_quantize_block(&x, p, &mut fake);
+            for ((&v, &c), &f) in x.iter().zip(&codes).zip(&fake) {
+                assert_eq!(c, p.quantize(v), "v={v:e} p={p:?}");
+                let want = p.dequantize(p.quantize(v));
+                assert_eq!(f.to_bits(), want.to_bits(), "v={v:e} p={p:?}");
             }
         }
     }
@@ -514,7 +490,7 @@ mod tests {
         let n = data.len();
         assert_eq!(
             &scratch.qvals[way * n..(way + 1) * n],
-            naive.selected.values()
+            naive.selected.dequantize().data()
         );
     }
 
@@ -531,6 +507,6 @@ mod tests {
             let _ = eval_candidates_shared(&data, q.estimator(), &mut scratch);
         }
         assert_eq!(scratch.params.as_ptr(), p0, "params buffer reallocated");
-        assert_eq!(scratch.qvals.as_ptr(), q0, "code matrix reallocated");
+        assert_eq!(scratch.qvals.as_ptr(), q0, "value matrix reallocated");
     }
 }

@@ -206,15 +206,20 @@ impl IntDomainQuantizer {
             return None;
         }
 
-        // The only f32 loop: one base quantization at the finest scale.
-        // |x| ≤ θ keeps |y| within qmax·2^(W−1) up to division rounding;
-        // the clamp pins the boundary (and sends NaN elements to 0).
+        // The only f32 loop: one base quantization at the finest scale,
+        // `(round(v / s_base) as i32).clamp(-bound, bound)` bitwise (a
+        // zero offset subtracts exactly). |x| ≤ θ keeps |y| within
+        // qmax·2^(W−1) up to division rounding; the clamp pins the
+        // boundary (and sends NaN elements to 0).
         let bound = qmax * top;
-        scratch.ybuf.clear();
-        scratch.ybuf.extend(
-            x.iter()
-                .map(|&v| (fast::fast_round(v / s_base) as i32).clamp(-bound, bound)),
-        );
+        scratch.ybuf.resize(x.len(), 0);
+        let grid = cq_par::QuantGrid {
+            scale: s_base,
+            offset: 0.0,
+            qmin: -bound,
+            qmax: bound,
+        };
+        cq_par::quantize_codes(x, grid, &mut scratch.ybuf);
 
         // Pure-integer candidate evaluation, way-major: one branch-free
         // reduction pass per way with that way's shift count held

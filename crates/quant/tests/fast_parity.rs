@@ -13,8 +13,8 @@
 
 use cq_par::Pool;
 use cq_quant::{
-    CandidateStrategy, E2bqmQuantizer, ErrorEstimator, IntFormat, LdqConfig, LdqTensor,
-    QuantScratch, TrainingQuantizer,
+    CandidateStrategy, E2bqmQuantizer, E2bqmSelection, ErrorEstimator, IntFormat, LdqConfig,
+    LdqTensor, QuantScratch, TrainingQuantizer,
 };
 use cq_tensor::{Backend, Tensor};
 use proptest::prelude::*;
@@ -255,4 +255,190 @@ fn large_tensor_crosses_parallel_threshold() {
         tq.fake_quantize_naive(&t).data(),
         tq.fake_quantize_fast(&t).data()
     );
+}
+
+/// Special and edge values: NaN, ±∞, ±0, subnormals and ±1e30 mixed into
+/// ordinary magnitudes. θ ignores NaN, degenerates on ±∞ and saturates
+/// every narrow grid on ±1e30, so these reach every clamp and NaN branch
+/// of the kernels.
+fn edge_f32() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        finite_f32(),
+        finite_f32(),
+        finite_f32(),
+        finite_f32(),
+        Just(f32::NAN),
+        Just(f32::INFINITY),
+        Just(f32::NEG_INFINITY),
+        Just(-0.0f32),
+        (1u32..0x0080_0000).prop_map(f32::from_bits),
+        (1u32..0x0080_0000).prop_map(|b| -f32::from_bits(b)),
+        Just(1e30f32),
+        Just(-1e30f32),
+    ]
+}
+
+fn edge_tensor_strategy(max_len: usize) -> impl Strategy<Value = Tensor> {
+    prop::collection::vec(edge_f32(), 0..max_len).prop_map(|v| {
+        let n = v.len();
+        Tensor::from_vec(v, &[n]).expect("len matches")
+    })
+}
+
+/// Selections compared bit for bit: codes, params, way, and the error
+/// vector by `to_bits` (NaN errors from poisoned blocks are legitimate,
+/// and `PartialEq` would reject identical NaNs).
+fn selections_bitwise_equal(a: &[E2bqmSelection], b: &[E2bqmSelection]) -> Result<(), String> {
+    if a.len() != b.len() {
+        return Err(format!("{} vs {} blocks", a.len(), b.len()));
+    }
+    for (i, (a, b)) in a.iter().zip(b).enumerate() {
+        let ea: Vec<u64> = a.errors.iter().map(|e| e.to_bits()).collect();
+        let eb: Vec<u64> = b.errors.iter().map(|e| e.to_bits()).collect();
+        if a.selected != b.selected || a.way != b.way || ea != eb {
+            return Err(format!("block {i}: {a:?} vs {b:?}"));
+        }
+    }
+    Ok(())
+}
+
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The six published presets.
+fn presets() -> [TrainingQuantizer; 6] {
+    [
+        TrainingQuantizer::zhu2019(),
+        TrainingQuantizer::zhu2019_hqt(),
+        TrainingQuantizer::zhang2020(),
+        TrainingQuantizer::zhang2020_hqt(),
+        TrainingQuantizer::yang2020(),
+        TrainingQuantizer::zhong2020(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// E²BQM on edge inputs, every estimator × strategy × format: the
+    /// fused path (serial and pooled) matches naive bit for bit. Up to
+    /// six ways, so the estimator folds also run a partial second group
+    /// of ways.
+    #[test]
+    fn e2bqm_fast_matches_naive_on_edge_inputs(
+        t in edge_tensor_strategy(300),
+        block in 1usize..130,
+        ways in 1usize..7,
+        strategy in any_strategy(),
+        estimator in any_estimator(),
+        fmt in any_format(),
+    ) {
+        let q = E2bqmQuantizer::new(ways, strategy, estimator, fmt);
+        let naive = q.quantize_blocks_naive(&t, block);
+        let fast = q.quantize_blocks_with(&t, block, Backend::Fast);
+        prop_assert_eq!(selections_bitwise_equal(&naive, &fast), Ok(()));
+        let pooled = q.quantize_blocks_fast_on(&Pool::new(4), &t, block);
+        prop_assert_eq!(selections_bitwise_equal(&naive, &pooled), Ok(()));
+    }
+
+    /// LDQ and every training preset on edge inputs: bitwise equal
+    /// outputs (`to_bits`, so a `-0.0` for `+0.0` fails too).
+    #[test]
+    fn fake_quantize_fast_matches_naive_on_edge_inputs(
+        t in edge_tensor_strategy(600),
+        block in 1usize..300,
+        fmt in any_format(),
+    ) {
+        let cfg = LdqConfig::new(block, fmt);
+        prop_assert_eq!(
+            LdqTensor::quantize_naive(&t, cfg),
+            LdqTensor::quantize_with(&t, cfg, Backend::Fast)
+        );
+        let ldq = TrainingQuantizer::ldq_only(block, fmt);
+        for q in presets().into_iter().chain([ldq]) {
+            let naive = q.fake_quantize_naive(&t);
+            let fast = q.fake_quantize_fast(&t);
+            prop_assert_eq!(bits(naive.data()), bits(fast.data()), "{}", q.name());
+        }
+    }
+}
+
+/// Blocks whose θ makes `fmt`'s scale an exact power of two, so
+/// `(k + ½)·scale` divides to an exact half-step tie: ties and their
+/// one-ulp neighbours for the whole code range, plus −0.0, subnormals,
+/// NaN and ±∞-free filler. Odd length, so no kernel sees a whole number
+/// of vectors.
+fn tie_block(fmt: IntFormat, exp: i32) -> Tensor {
+    let scale = 2f32.powi(exp);
+    let qmax = fmt.qmax();
+    let mut v = vec![qmax as f32 * scale, -0.0, f32::from_bits(3), f32::NAN];
+    let step = (qmax / 40).max(1);
+    let mut k = -qmax;
+    while k < qmax {
+        let tie = (k as f32 + 0.5) * scale;
+        v.extend([
+            tie,
+            f32::from_bits(tie.to_bits() + 1),
+            f32::from_bits(tie.to_bits() - 1),
+        ]);
+        k += step;
+    }
+    if v.len() % 2 == 0 {
+        v.push(0.5 * scale);
+    }
+    let n = v.len();
+    Tensor::from_vec(v, &[n]).expect("len matches")
+}
+
+/// Exact half-step ties at every format's scale, through every
+/// estimator × strategy × format and every preset: fused equals naive
+/// bit for bit.
+#[test]
+fn half_step_ties_agree_for_every_format() {
+    let strategies = [
+        CandidateStrategy::ClipSweep,
+        CandidateStrategy::ShiftableFxp,
+        CandidateStrategy::FormatSweep,
+    ];
+    let estimators = [
+        ErrorEstimator::Rectilinear,
+        ErrorEstimator::Cosine,
+        ErrorEstimator::MeanBias,
+        ErrorEstimator::Mse,
+    ];
+    for tie_fmt in IntFormat::ALL {
+        for exp in [-12, 0, 7] {
+            let t = tie_block(tie_fmt, exp);
+            let n = t.len();
+            for fmt in IntFormat::ALL {
+                let cfg = LdqConfig::new(n, fmt);
+                assert_eq!(
+                    LdqTensor::quantize_naive(&t, cfg),
+                    LdqTensor::quantize_with(&t, cfg, Backend::Fast),
+                    "ldq {tie_fmt}@2^{exp} {fmt}"
+                );
+                for strategy in strategies {
+                    for estimator in estimators {
+                        let q = E2bqmQuantizer::new(4, strategy, estimator, fmt);
+                        let naive = q.quantize_blocks_naive(&t, n);
+                        let fast = q.quantize_blocks_with(&t, n, Backend::Fast);
+                        assert_eq!(
+                            selections_bitwise_equal(&naive, &fast),
+                            Ok(()),
+                            "{tie_fmt}@2^{exp} {strategy:?}/{estimator:?}/{fmt}"
+                        );
+                    }
+                }
+            }
+            for q in presets() {
+                assert_eq!(
+                    bits(q.fake_quantize_naive(&t).data()),
+                    bits(q.fake_quantize_fast(&t).data()),
+                    "{} {tie_fmt}@2^{exp}",
+                    q.name()
+                );
+            }
+        }
+    }
 }
