@@ -38,6 +38,11 @@
 //! }
 //! ```
 //!
+//! Single-sided entries (`simulate_cold`, `ddr_model`, `isa_codec`,
+//! `timing_executor`) time one path with nothing to compare against:
+//! their time is `ns_fast`, `ns_naive` and `speedup` are `null`, and
+//! they are never gated.
+//!
 //! Service-level entries (`serve_saturation`, `serve_overload`) carry an
 //! additional `"extra": {...}` object with requests/sec and p50/p99
 //! latencies — metrics that don't fit the naive/fast nanosecond pair.
@@ -63,16 +68,23 @@
 //! after one warmup, so the numbers measure the kernels, not the
 //! allocator or the OS scheduler.
 
-use cq_accel::{clear_sim_cache, CambriconQ};
+use cq_accel::{
+    clear_sim_cache, compile_dense_forward, CambriconQ, CqConfig, DenseLayout, TimingExecutor,
+};
 use cq_experiments::accuracy::ProxyTask;
+use cq_isa::Program;
+use cq_mem::{DdrConfig, DdrModel, Dir};
 use cq_ndp::OptimizerKind;
 use cq_nn::{Adam, Conv2d, Dense, Flatten, MaxPool2d, QuantCtx, QuantPath, Relu, Sequential};
+use cq_obs::json::Json;
+use cq_obs::json_escape;
 use cq_par::Pool;
 use cq_quant::{E2bqmQuantizer, IntFormat, LdqConfig, LdqTensor, TrainingQuantizer};
 use cq_sim::{HwCostCache, HwCostKey};
 use cq_tensor::ops::{self, Conv2dParams};
 use cq_tensor::{init, Backend, Tensor};
 use cq_workloads::models;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// The shape whose Fast-vs-Naive ratio gates CI (`--check`).
@@ -125,7 +137,10 @@ const TRAIN_STEP_RETAIN: f64 = 0.60;
 struct Entry {
     op: &'static str,
     shape: String,
-    ns_naive: u64,
+    /// Reference-path time; `None` for single-sided entries, which time
+    /// one path and have nothing to compare it against.
+    ns_naive: Option<u64>,
+    /// Measured-path time (the only time of a single-sided entry).
     ns_fast: u64,
     /// Optional extra JSON object (already rendered) appended to the
     /// entry as `"extra": {...}` — service-level metrics like req/s and
@@ -134,18 +149,49 @@ struct Entry {
 }
 
 impl Entry {
-    fn speedup(&self) -> f64 {
-        self.ns_naive as f64 / self.ns_fast.max(1) as f64
+    /// A Naive/Fast A/B entry.
+    fn paired(op: &'static str, shape: impl Into<String>, (naive, fast): (u64, u64)) -> Entry {
+        Entry {
+            op,
+            shape: shape.into(),
+            ns_naive: Some(naive),
+            ns_fast: fast,
+            extra: None,
+        }
+    }
+
+    /// A single-sided entry: no reference path, no speedup, never gated.
+    fn single(op: &'static str, shape: impl Into<String>, ns: u64) -> Entry {
+        Entry {
+            op,
+            shape: shape.into(),
+            ns_naive: None,
+            ns_fast: ns,
+            extra: None,
+        }
+    }
+
+    fn with_extra(self, extra: String) -> Entry {
+        Entry {
+            extra: Some(extra),
+            ..self
+        }
+    }
+
+    fn speedup(&self) -> Option<f64> {
+        self.ns_naive
+            .map(|naive| naive as f64 / self.ns_fast.max(1) as f64)
     }
 }
 
-/// Best-of-`reps` wall time in nanoseconds, after one warmup call.
-fn best_ns<F: FnMut()>(mut f: F, reps: usize) -> u64 {
-    f();
+/// Best-of-`reps` wall time in nanoseconds, after one warmup call. The
+/// result goes through `black_box`, so the call cannot be optimized out.
+fn best_ns<R, F: FnMut() -> R>(mut f: F, reps: usize) -> u64 {
+    black_box(f());
     let mut best = u64::MAX;
     for _ in 0..reps.max(1) {
         let t = Instant::now();
-        f();
+        black_box(f());
         best = best.min(t.elapsed().as_nanos() as u64);
     }
     best
@@ -179,13 +225,7 @@ fn gemm_entry(op: &'static str, m: usize, k: usize, n: usize, reps: usize) -> En
         },
         reps,
     );
-    Entry {
-        op,
-        shape: format!("{m}x{k}x{n}"),
-        ns_naive,
-        ns_fast,
-        extra: None,
-    }
+    Entry::paired(op, format!("{m}x{k}x{n}"), (ns_naive, ns_fast))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -228,27 +268,9 @@ fn conv_entries(
         reps,
     );
     vec![
-        Entry {
-            op: "conv2d",
-            shape: shape.clone(),
-            ns_naive: fwd_n,
-            ns_fast: fwd_f,
-            extra: None,
-        },
-        Entry {
-            op: "conv2d_grad_input",
-            shape: shape.clone(),
-            ns_naive: gi_n,
-            ns_fast: gi_f,
-            extra: None,
-        },
-        Entry {
-            op: "conv2d_grad_weight",
-            shape,
-            ns_naive: gw_n,
-            ns_fast: gw_f,
-            extra: None,
-        },
+        Entry::paired("conv2d", shape.clone(), (fwd_n, fwd_f)),
+        Entry::paired("conv2d_grad_input", shape.clone(), (gi_n, gi_f)),
+        Entry::paired("conv2d_grad_weight", shape, (gw_n, gw_f)),
     ]
 }
 
@@ -274,13 +296,11 @@ fn train_step_entry(
             reps,
         )
     };
-    Entry {
+    Entry::paired(
         op,
         shape,
-        ns_naive: time_backend(Backend::Naive),
-        ns_fast: time_backend(Backend::Fast),
-        extra: None,
-    }
+        (time_backend(Backend::Naive), time_backend(Backend::Fast)),
+    )
 }
 
 /// A CNN sized so the convolutions dominate the step: batch 32 of
@@ -328,16 +348,15 @@ fn int8_gemm_entry(m: usize, k: usize, n: usize, reps: usize) -> Entry {
         || cq_par::gemm_i8(m, k, n, &a_i8, &b_i8, &mut out_i, &serial),
         reps,
     );
-    Entry {
-        op: "gemm_i8",
-        shape: format!("{m}x{k}x{n}-serial"),
-        ns_naive,
-        ns_fast,
-        extra: Some(format!(
-            "{{\"vs\": \"f32_fast_path\", \"simd\": \"{}\"}}",
-            cq_par::simd_level().name()
-        )),
-    }
+    Entry::paired(
+        "gemm_i8",
+        format!("{m}x{k}x{n}-serial"),
+        (ns_naive, ns_fast),
+    )
+    .with_extra(format!(
+        "{{\"vs\": \"f32_fast_path\", \"simd\": \"{}\"}}",
+        cq_par::simd_level().name()
+    ))
 }
 
 /// One full training step under `CQ_QUANT_PATH`-style A/B: `ns_naive`
@@ -379,13 +398,7 @@ fn int_train_step_entry(
         stats.hits(),
         stats.fallbacks(),
     );
-    Entry {
-        op: "train_step_int8",
-        shape,
-        ns_naive,
-        ns_fast,
-        extra: Some(extra),
-    }
+    Entry::paired("train_step_int8", shape, (ns_naive, ns_fast)).with_extra(extra)
 }
 
 /// Quant-kernel entries. The serial shapes (16 Ki elements) sit below
@@ -406,13 +419,11 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
         },
         reps,
     );
-    entries.push(Entry {
-        op: "ldq_quantize",
-        shape: "16384xK256-int8".into(),
-        ns_naive,
-        ns_fast,
-        extra: None,
-    });
+    entries.push(Entry::paired(
+        "ldq_quantize",
+        "16384xK256-int8",
+        (ns_naive, ns_fast),
+    ));
 
     let q = E2bqmQuantizer::hardware_default();
     let (ns_naive, ns_fast) = ab(
@@ -421,13 +432,11 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
         },
         reps,
     );
-    entries.push(Entry {
-        op: "e2bqm_quantize_blocks",
-        shape: "16384xK256-w4".into(),
-        ns_naive,
-        ns_fast,
-        extra: None,
-    });
+    entries.push(Entry::paired(
+        "e2bqm_quantize_blocks",
+        "16384xK256-w4",
+        (ns_naive, ns_fast),
+    ));
 
     // Cosine arbitration (the zhu2019-style multiplex): the naive path
     // re-derives ‖x‖ per candidate; the fused path shares the statistic.
@@ -443,13 +452,11 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
         },
         reps,
     );
-    entries.push(Entry {
-        op: "e2bqm_quantize_blocks",
-        shape: "16384xK256-w4-cosine".into(),
-        ns_naive,
-        ns_fast,
-        extra: None,
-    });
+    entries.push(Entry::paired(
+        "e2bqm_quantize_blocks",
+        "16384xK256-w4-cosine",
+        (ns_naive, ns_fast),
+    ));
 
     let tq = TrainingQuantizer::zhang2020_hqt();
     let ns_naive = best_ns(
@@ -464,13 +471,11 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
         },
         reps,
     );
-    entries.push(Entry {
-        op: "fake_quantize",
-        shape: "hqt-zhang2020-16384".into(),
-        ns_naive,
-        ns_fast,
-        extra: None,
-    });
+    entries.push(Entry::paired(
+        "fake_quantize",
+        "hqt-zhang2020-16384",
+        (ns_naive, ns_fast),
+    ));
 
     // Out-of-cache serial entries: 1 MiB of f32 exceeds L2, which is
     // where the naive path's per-block tensor allocations and extra
@@ -492,13 +497,11 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
         },
         reps,
     );
-    entries.push(Entry {
-        op: "ldq_quantize",
-        shape: "262144xK256-int8-serial".into(),
-        ns_naive,
-        ns_fast,
-        extra: None,
-    });
+    entries.push(Entry::paired(
+        "ldq_quantize",
+        "262144xK256-int8-serial",
+        (ns_naive, ns_fast),
+    ));
 
     let ns_naive = best_ns(
         || {
@@ -512,13 +515,11 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
         },
         reps,
     );
-    entries.push(Entry {
-        op: "e2bqm_quantize_blocks",
-        shape: "262144xK256-w4-cosine-serial".into(),
-        ns_naive,
-        ns_fast,
-        extra: None,
-    });
+    entries.push(Entry::paired(
+        "e2bqm_quantize_blocks",
+        "262144xK256-w4-cosine-serial",
+        (ns_naive, ns_fast),
+    ));
 
     if !quick {
         let big = init::long_tailed(&[1 << 21], 0.1, 0.01, 30.0, 37);
@@ -529,13 +530,11 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
             },
             reps,
         );
-        entries.push(Entry {
-            op: "ldq_quantize",
-            shape: "2097152xK1024-int8-pooled".into(),
-            ns_naive,
-            ns_fast,
-            extra: None,
-        });
+        entries.push(Entry::paired(
+            "ldq_quantize",
+            "2097152xK1024-int8-pooled",
+            (ns_naive, ns_fast),
+        ));
 
         let mid = init::long_tailed(&[1 << 20], 0.1, 0.01, 30.0, 41);
         let (ns_naive, ns_fast) = ab(
@@ -544,13 +543,11 @@ fn quant_entries(reps: usize, quick: bool) -> Vec<Entry> {
             },
             reps,
         );
-        entries.push(Entry {
-            op: "e2bqm_quantize_blocks",
-            shape: "1048576xK1024-w4-pooled".into(),
-            ns_naive,
-            ns_fast,
-            extra: None,
-        });
+        entries.push(Entry::paired(
+            "e2bqm_quantize_blocks",
+            "1048576xK1024-w4-pooled",
+            (ns_naive, ns_fast),
+        ));
     }
     entries
 }
@@ -583,13 +580,11 @@ fn hwcost_entry(reps: usize, quick: bool) -> Entry {
     cq_sim::set_hwcache_enabled(true);
     clear_sim_cache();
     let ns_fast = best_ns(run, reps);
-    Entry {
-        op: "hwcost_sweep",
-        shape: format!("{}nets-sgd-edge", nets.len()),
-        ns_naive,
-        ns_fast,
-        extra: None,
-    }
+    Entry::paired(
+        "hwcost_sweep",
+        format!("{}nets-sgd-edge", nets.len()),
+        (ns_naive, ns_fast),
+    )
 }
 
 /// Shard-level lock contention on the `HwCostCache`: four workers hammer
@@ -631,21 +626,19 @@ fn hwcache_hitstorm_entry(reps: usize, quick: bool) -> Entry {
                     }
                     acc
                 });
-                std::hint::black_box(sums);
+                black_box(sums);
             },
             reps,
         )
     };
-    Entry {
-        op: "hwcache_hitstorm",
-        shape: format!(
+    Entry::paired(
+        "hwcache_hitstorm",
+        format!(
             "{WORKERS}threads-{KEYS}keys-1v{}shards",
             cq_sim::DEFAULT_SHARDS
         ),
-        ns_naive: time_with(1),
-        ns_fast: time_with(cq_sim::DEFAULT_SHARDS),
-        extra: None,
-    }
+        (time_with(1), time_with(cq_sim::DEFAULT_SHARDS)),
+    )
 }
 
 /// Per-layer mapping search over the `--quick` study set: the two-stage
@@ -672,13 +665,11 @@ fn mapping_search_entry(reps: usize, quick: bool) -> Entry {
     let ns_naive = best_ns(run, reps);
     cq_sim::set_hwcache_enabled(true);
     let ns_fast = best_ns(run, reps);
-    Entry {
-        op: "mapping_search_quick",
-        shape: format!("{}nets-edge", nets.len()),
-        ns_naive,
-        ns_fast,
-        extra: None,
-    }
+    Entry::paired(
+        "mapping_search_quick",
+        format!("{}nets-edge", nets.len()),
+        (ns_naive, ns_fast),
+    )
 }
 
 /// Starts an in-process sweep daemon with `workers` worker loops,
@@ -745,17 +736,16 @@ fn serve_saturation_entry(quick: bool) -> Entry {
         many.is_clean(),
         "{threads}-worker saturation run failed: {many:?}"
     );
-    Entry {
-        op: "serve_saturation",
-        shape: format!("4clients-{requests}req-2cells-cached-1v{threads}workers"),
-        ns_naive: (one.elapsed_ms * 1e6) as u64,
-        ns_fast: (many.elapsed_ms * 1e6) as u64,
-        extra: Some(format!(
-            "{{\"req_per_s_1w\": {:.2}, \"req_per_s_{threads}w\": {:.2}, \
-             \"p50_us_1w\": {}, \"p99_us_1w\": {}, \"p50_us_{threads}w\": {}, \"p99_us_{threads}w\": {}}}",
-            one.req_per_s, many.req_per_s, one.p50_us, one.p99_us, many.p50_us, many.p99_us,
-        )),
-    }
+    Entry::paired(
+        "serve_saturation",
+        format!("4clients-{requests}req-2cells-cached-1v{threads}workers"),
+        ((one.elapsed_ms * 1e6) as u64, (many.elapsed_ms * 1e6) as u64),
+    )
+    .with_extra(format!(
+        "{{\"req_per_s_1w\": {:.2}, \"req_per_s_{threads}w\": {:.2}, \
+         \"p50_us_1w\": {}, \"p99_us_1w\": {}, \"p50_us_{threads}w\": {}, \"p99_us_{threads}w\": {}}}",
+        one.req_per_s, many.req_per_s, one.p50_us, one.p99_us, many.p50_us, many.p99_us,
+    ))
 }
 
 /// Bounded-queue overload: the same closed-loop load against a
@@ -781,58 +771,141 @@ fn serve_overload_entry(quick: bool) -> Entry {
         "overloaded run must still complete: {tiny:?}"
     );
     assert!(roomy.is_clean(), "uncontended run failed: {roomy:?}");
-    Entry {
-        op: "serve_overload",
-        shape: format!("6clients-{requests}req-2cells-cap2v64"),
-        ns_naive: (tiny.elapsed_ms * 1e6) as u64,
-        ns_fast: (roomy.elapsed_ms * 1e6) as u64,
-        extra: Some(format!(
-            "{{\"rejections_cap2\": {}, \"rejections_cap64\": {}, \
-             \"p99_us_cap2\": {}, \"p99_us_cap64\": {}}}",
-            tiny.rejections, roomy.rejections, tiny.p99_us, roomy.p99_us,
-        )),
-    }
+    Entry::paired(
+        "serve_overload",
+        format!("6clients-{requests}req-2cells-cap2v64"),
+        (
+            (tiny.elapsed_ms * 1e6) as u64,
+            (roomy.elapsed_ms * 1e6) as u64,
+        ),
+    )
+    .with_extra(format!(
+        "{{\"rejections_cap2\": {}, \"rejections_cap64\": {}, \
+         \"p99_us_cap2\": {}, \"p99_us_cap64\": {}}}",
+        tiny.rejections, roomy.rejections, tiny.p99_us, roomy.p99_us,
+    ))
+}
+
+/// Cold per-network simulation, the kernel behind Figs. 12/13:
+/// `CambriconQ::edge()` under Adam on every benchmark network with the
+/// `HwCostCache` off, so every timed run recomputes every layer. The
+/// previous memo setting is restored afterwards.
+fn simulate_cold_entries(reps: usize) -> Vec<Entry> {
+    let _sp = cq_obs::span!("bench", "simulate cold");
+    let chip = CambriconQ::edge();
+    let adam = OptimizerKind::Adam {
+        lr: 1e-3,
+        beta1: 0.9,
+        beta2: 0.999,
+    };
+    let prev = cq_sim::hwcache_enabled();
+    cq_sim::set_hwcache_enabled(false);
+    let entries = models::all_benchmarks()
+        .iter()
+        .map(|net| {
+            let ns = best_ns(|| chip.simulate(black_box(net), adam), reps);
+            Entry::single("simulate_cold", format!("{}-adam-edge", net.name), ns)
+        })
+        .collect();
+    cq_sim::set_hwcache_enabled(prev);
+    entries
+}
+
+/// The DDR timing model on its best and worst access patterns: one
+/// sequential 1 MiB read, and 1024 64-byte reads that each open a new row.
+fn ddr_model_entries(reps: usize) -> Vec<Entry> {
+    let _sp = cq_obs::span!("bench", "ddr model");
+    let sequential = best_ns(
+        || {
+            let mut m = DdrModel::new(DdrConfig::cambricon_q());
+            m.transfer(black_box(0), 1 << 20, Dir::Read)
+        },
+        reps,
+    );
+    let strided = best_ns(
+        || {
+            let mut m = DdrModel::new(DdrConfig::cambricon_q());
+            (0..1024u64)
+                .map(|i| m.transfer(black_box(i * 16384), 64, Dir::Read))
+                .sum::<u64>()
+        },
+        reps,
+    );
+    vec![
+        Entry::single("ddr_model", "sequential_1mb_read", sequential),
+        Entry::single("ddr_model", "strided_row_misses", strided),
+    ]
+}
+
+/// The Table V ISA and its timing executor on one compiled 256×128×192
+/// dense forward: binary encode and decode, then the aggregate and the
+/// pipelined executor over the same program.
+fn isa_entries(reps: usize) -> Vec<Entry> {
+    let _sp = cq_obs::span!("bench", "isa");
+    let (m, k, n) = (256, 128, 192);
+    let config = CqConfig::edge();
+    let layout = DenseLayout {
+        input: 0,
+        weight: m * k * 4,
+        output: (m * k + k * n) * 4,
+    };
+    let program = compile_dense_forward(&config, layout, m, k, n);
+    let bytes = program.encode();
+    let shape = |what: &str| format!("{what}-{m}x{k}x{n}-{}instrs", program.len());
+    let encode = best_ns(|| black_box(&program).encode(), reps);
+    let decode = best_ns(|| Program::decode(black_box(&bytes)).expect("decode"), reps);
+    let run = best_ns(
+        || TimingExecutor::new(config.clone()).run(black_box(&program)),
+        reps,
+    );
+    let pipelined = best_ns(
+        || TimingExecutor::new(config.clone()).run_pipelined(black_box(&program)),
+        reps,
+    );
+    vec![
+        Entry::single("isa_codec", shape("encode"), encode),
+        Entry::single("isa_codec", shape("decode"), decode),
+        Entry::single("timing_executor", shape("run"), run),
+        Entry::single("timing_executor", shape("run_pipelined"), pipelined),
+    ]
 }
 
 /// Whether an entry's speedup is gated against the `--baseline` report.
+/// Single-sided entries have no speedup and are never gated.
 fn is_gated(e: &Entry) -> bool {
-    (GATED_QUANT_OPS.contains(&e.op) && !e.shape.ends_with("-pooled"))
-        || GATED_COMPUTE_OPS.contains(&e.op)
+    e.ns_naive.is_some()
+        && ((GATED_QUANT_OPS.contains(&e.op) && !e.shape.ends_with("-pooled"))
+            || GATED_COMPUTE_OPS.contains(&e.op))
 }
 
-/// Extracts `(op, shape, speedup)` triples from a previous report. The
-/// report is the fixed line-oriented format [`render_json`] writes (one
-/// entry object per line), so a full JSON parser is unnecessary.
-fn parse_baseline(text: &str) -> Vec<(String, String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let (Some(op), Some(shape), Some(speedup)) = (
-            field_str(line, "\"op\": \""),
-            field_str(line, "\"shape\": \""),
-            field_num(line, "\"speedup\": "),
-        ) else {
-            continue;
+/// Reads the `(op, shape, speedup)` rows of a previous report, skipping
+/// single-sided entries (`"speedup": null`). Anything that is not a
+/// report — malformed JSON, no `entries`, an entry without a string
+/// `op`/`shape` or a numeric speedup — is an error naming `path`, so a
+/// damaged baseline cannot turn gated entries into ungated passes.
+fn parse_baseline(path: &str, text: &str) -> Result<Vec<(String, String, f64)>, String> {
+    let bad = |why: String| format!("--baseline {path:?}: {why}");
+    let doc = cq_obs::json::parse(text).map_err(|e| bad(e.to_string()))?;
+    let entries = doc
+        .get("entries")
+        .and_then(Json::as_arr)
+        .filter(|entries| !entries.is_empty())
+        .ok_or_else(|| bad("no \"entries\"".into()))?;
+    let mut rows = Vec::new();
+    for (i, e) in entries.iter().enumerate() {
+        let field = |key: &str| {
+            e.get(key)
+                .and_then(Json::as_str)
+                .ok_or_else(|| bad(format!("entry {i} has no string {key:?}")))
         };
-        out.push((op, shape, speedup));
+        let (op, shape) = (field("op")?, field("shape")?);
+        match e.get("speedup") {
+            Some(Json::Null) => {}
+            Some(Json::Num(speedup)) => rows.push((op.to_string(), shape.to_string(), *speedup)),
+            _ => return Err(bad(format!("entry {i} ({op} {shape}) has no speedup"))),
+        }
     }
-    out
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let rest = &line[line.find(key)? + key.len()..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    Ok(rows)
 }
 
 fn render_json(entries: &[Entry], quick: bool) -> String {
@@ -846,14 +919,13 @@ fn render_json(entries: &[Entry], quick: bool) -> String {
             Some(x) => format!(", \"extra\": {x}"),
             None => String::new(),
         };
+        let naive = e.ns_naive.map_or("null".into(), |n| n.to_string());
+        let speedup = e.speedup().map_or("null".into(), |s| format!("{s:.2}"));
         out.push_str(&format!(
-            "    {{ \"op\": \"{}\", \"shape\": \"{}\", \"ns_naive\": {}, \"ns_fast\": {}, \"speedup\": {:.2}{} }}{}\n",
+            "    {{ \"op\": \"{}\", \"shape\": \"{}\", \"ns_naive\": {naive}, \"ns_fast\": {}, \"speedup\": {speedup}{extra} }}{}\n",
             json_escape(e.op),
             json_escape(&e.shape),
-            e.ns_naive,
             e.ns_fast,
-            e.speedup(),
-            extra,
             if i + 1 < entries.len() { "," } else { "" },
         ));
     }
@@ -861,12 +933,23 @@ fn render_json(entries: &[Entry], quick: bool) -> String {
     out
 }
 
+/// The speedup of the paired `op`/`shape` entry a `--check` floor reads.
+fn speedup_of(entries: &[Entry], op: &str, shape: &str) -> f64 {
+    entries
+        .iter()
+        .find(|e| e.op == op && e.shape == shape)
+        .and_then(Entry::speedup)
+        .unwrap_or_else(|| panic!("no paired {op} {shape} entry"))
+}
+
 fn main() {
+    // Validates every CQ_* knob before anything is timed and installs
+    // the --profile / CQ_TRACE sink; dropping it flushes the trace.
+    let profile = cq_experiments::profiling::init_for_bin();
     let mut quick = false;
     let mut check = false;
     let mut out_path = String::from("BENCH_PR10.json");
     let mut baseline_path: Option<String> = None;
-    let mut profile_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -874,7 +957,9 @@ fn main() {
             "--check" => check = true,
             "--out" => out_path = args.next().expect("--out requires a path"),
             "--baseline" => baseline_path = Some(args.next().expect("--baseline requires a path")),
-            "--profile" => profile_path = Some(args.next().expect("--profile requires a path")),
+            "--profile" => {
+                args.next().expect("--profile requires a path");
+            }
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
@@ -884,19 +969,8 @@ fn main() {
     let baseline = baseline_path.map(|p| {
         let text = std::fs::read_to_string(&p)
             .unwrap_or_else(|e| panic!("cannot read --baseline {p:?}: {e}"));
-        let rows = parse_baseline(&text);
-        assert!(!rows.is_empty(), "no entries parsed from --baseline {p:?}");
-        rows
+        parse_baseline(&p, &text).unwrap_or_else(|e| panic!("{e}"))
     });
-    // Tracing: --profile wins, else CQ_TRACE, else off (and then the
-    // instrumented kernels cost one atomic load per probe — see the
-    // obs_overhead test).
-    match profile_path {
-        Some(p) => cq_obs::init_to_path(&p).expect("open --profile path"),
-        None => {
-            cq_obs::init_from_env().expect("open CQ_TRACE path");
-        }
-    }
 
     let reps = if quick { 2 } else { 3 };
     let (rm, rk, rn) = REFERENCE_GEMM;
@@ -931,6 +1005,9 @@ fn main() {
     entries.push(hwcost_entry(reps, quick));
     entries.push(hwcache_hitstorm_entry(reps, quick));
     entries.push(mapping_search_entry(reps, quick));
+    entries.extend(simulate_cold_entries(reps));
+    entries.extend(ddr_model_entries(reps + 2));
+    entries.extend(isa_entries(reps + 2));
     entries.push(serve_saturation_entry(quick));
     entries.push(serve_overload_entry(quick));
 
@@ -968,51 +1045,39 @@ fn main() {
     }
 
     for e in &entries {
+        let naive = e.ns_naive.map_or("-".into(), |n| n.to_string());
+        let speedup = e.speedup().map_or("-".into(), |s| format!("{s:.2}x"));
         eprintln!(
-            "  {:<22} {:<24} naive {:>12} ns  fast {:>12} ns  {:>6.2}x",
-            e.op,
-            e.shape,
-            e.ns_naive,
-            e.ns_fast,
-            e.speedup()
+            "  {:<22} {:<24} naive {naive:>12} ns  fast {:>12} ns  {speedup:>7}",
+            e.op, e.shape, e.ns_fast,
         );
     }
 
     std::fs::write(&out_path, render_json(&entries, quick)).expect("write report");
     eprintln!("wrote {out_path}");
-    cq_obs::finish();
+    drop(profile);
 
     if check {
-        let reference = entries
-            .iter()
-            .find(|e| e.op == "gemm" && e.shape == format!("{rm}x{rk}x{rn}"))
-            .expect("reference GEMM entry");
-        if reference.speedup() < REFERENCE_MIN_SPEEDUP {
+        let reference = speedup_of(&entries, "gemm", &format!("{rm}x{rk}x{rn}"));
+        if reference < REFERENCE_MIN_SPEEDUP {
             eprintln!(
-                "FAIL: Fast backend below {REFERENCE_MIN_SPEEDUP:.1}x over Naive on reference GEMM ({:.2}x)",
-                reference.speedup()
+                "FAIL: Fast backend below {REFERENCE_MIN_SPEEDUP:.1}x over Naive on reference GEMM ({reference:.2}x)"
             );
             std::process::exit(1);
         }
         eprintln!(
-            "check passed: Fast {:.2}x Naive on reference GEMM (floor {REFERENCE_MIN_SPEEDUP:.1}x)",
-            reference.speedup()
+            "check passed: Fast {reference:.2}x Naive on reference GEMM (floor {REFERENCE_MIN_SPEEDUP:.1}x)"
         );
 
-        let int8 = entries
-            .iter()
-            .find(|e| e.op == "gemm_i8" && e.shape == format!("{rm}x{rk}x{rn}-serial"))
-            .expect("reference gemm_i8 entry");
-        if int8.speedup() < INT8_MIN_SPEEDUP {
+        let int8 = speedup_of(&entries, "gemm_i8", &format!("{rm}x{rk}x{rn}-serial"));
+        if int8 < INT8_MIN_SPEEDUP {
             eprintln!(
-                "FAIL: gemm_i8 below {INT8_MIN_SPEEDUP:.1}x over the f32 fast path on the reference shape ({:.2}x)",
-                int8.speedup()
+                "FAIL: gemm_i8 below {INT8_MIN_SPEEDUP:.1}x over the f32 fast path on the reference shape ({int8:.2}x)"
             );
             std::process::exit(1);
         }
         eprintln!(
-            "check passed: gemm_i8 {:.2}x f32 fast path on reference shape (floor {INT8_MIN_SPEEDUP:.1}x)",
-            int8.speedup()
+            "check passed: gemm_i8 {int8:.2}x f32 fast path on reference shape (floor {INT8_MIN_SPEEDUP:.1}x)"
         );
 
         if let Some(baseline) = &baseline {
@@ -1031,23 +1096,17 @@ fn main() {
                     BASELINE_RETAIN
                 };
                 let floor = base * retain;
-                if e.speedup() < floor {
+                let speedup = e.speedup().expect("gated entries are paired");
+                if speedup < floor {
                     eprintln!(
-                        "FAIL: {} {} speedup {:.2}x below baseline floor {:.2}x (recorded {:.2}x)",
-                        e.op,
-                        e.shape,
-                        e.speedup(),
-                        floor,
-                        base
+                        "FAIL: {} {} speedup {speedup:.2}x below baseline floor {floor:.2}x (recorded {base:.2}x)",
+                        e.op, e.shape,
                     );
                     failed = true;
                 } else {
                     eprintln!(
-                        "  gate ok: {} {} {:.2}x >= {:.2}x",
-                        e.op,
-                        e.shape,
-                        e.speedup(),
-                        floor
+                        "  gate ok: {} {} {speedup:.2}x >= {floor:.2}x",
+                        e.op, e.shape
                     );
                 }
             }
@@ -1056,5 +1115,46 @@ fn main() {
             }
             eprintln!("check passed: gated entries within retention floors of baseline speedups");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASELINE: &str = include_str!("../../../../BENCH_PR10.json");
+
+    #[test]
+    fn committed_baseline_parses_every_row() {
+        let rows = parse_baseline("BENCH_PR10.json", BASELINE).expect("baseline parses");
+        assert_eq!(rows.len(), 40);
+        let gemm = rows
+            .iter()
+            .find(|(op, shape, _)| op == "gemm" && shape == "512x512x512")
+            .expect("reference gemm row");
+        assert_eq!(gemm.2, 4.05);
+    }
+
+    #[test]
+    fn truncated_baseline_is_rejected_with_its_path() {
+        let cut = &BASELINE[..BASELINE.len() / 2];
+        let err = parse_baseline("cut.json", cut).unwrap_err();
+        assert!(err.contains("cut.json"), "{err}");
+    }
+
+    #[test]
+    fn entries_without_op_or_shape_are_rejected() {
+        let text = r#"{ "entries": [ { "shape": "s", "speedup": 1.0 } ] }"#;
+        let err = parse_baseline("x.json", text).unwrap_err();
+        assert!(err.contains("x.json") && err.contains("\"op\""), "{err}");
+    }
+
+    #[test]
+    fn single_sided_entries_render_null_and_are_never_gated() {
+        let e = Entry::single("gemm", "512x512x512", 7);
+        assert!(!is_gated(&e));
+        let json = render_json(&[e], true);
+        assert!(json.contains("\"ns_naive\": null, \"ns_fast\": 7, \"speedup\": null"));
+        assert!(parse_baseline("r.json", &json).unwrap().is_empty());
     }
 }

@@ -1,13 +1,10 @@
-//! # cq-bench — Criterion benchmark harness
+//! # cq-bench — the `bench_perf` timing harness
 //!
-//! Benches live under `benches/`, one file per subsystem:
-//!
-//! * `quantizers` — LDQ / layer-wise DQ / E²BQM throughput and block-size
-//!   ablation (§III.A/B design choices);
-//! * `simulators` — full per-benchmark simulations of Cambricon-Q, the
-//!   TPU and GPU baselines (the kernels behind Figs. 12/13), plus the
-//!   INT4 and no-NDP ablations;
-//! * `components` — SQU, QBC, PE-array and DDR model microbenchmarks;
-//! * `training` — quantized vs FP32 training steps and NDPO vs reference
-//!   optimizer updates;
-//! * `isa` — instruction encode/decode and functional-machine execution.
+//! The crate's one binary, `bench_perf`, is the repo's only timing
+//! harness. It A/Bs the `Naive` reference path against the `Fast` path
+//! on the dense kernels, quantizers, train steps and memoized sweeps,
+//! times cold simulation, the DDR model, the ISA codec and the timing
+//! executor on their own, and writes everything to one JSON report.
+//! `--check` gates the A/B speedups against a baseline report such as
+//! the committed `BENCH_PR10.json`. See `src/bin/bench_perf.rs` for the
+//! flags, the report schema and the gates.

@@ -74,12 +74,15 @@ pub fn crosscheck_table(rows: &[CrossCheckRow]) -> TextTable {
 mod tests {
     use super::*;
 
+    /// Executor/analytical FW cycles are 0.97–1.00 on five networks and
+    /// 0.87 on SqueezeNet. The SqueezeNet gap is unexplained: the bound
+    /// admits it rather than accounting for it.
     #[test]
     fn models_agree_within_a_small_factor() {
         for r in run_crosscheck() {
             let ratio = r.ratio();
             assert!(
-                (0.4..2.5).contains(&ratio),
+                (0.85..=1.05).contains(&ratio),
                 "{}: executor/analytical = {ratio:.2}",
                 r.network
             );

@@ -569,7 +569,7 @@ mod tests {
     }
 
     /// Every plan — scalar and detected level, all tiles, odd/even kc —
-    /// produces the *same bits*: the i8 parity acceptance criterion.
+    /// produces the *same bits*: the i8 parity acceptance condition.
     #[test]
     fn all_plans_agree_bitwise_with_naive() {
         for &(m, k, n) in &[(5usize, 7usize, 9usize), (17, 23, 19), (33, 40, 31)] {

@@ -116,7 +116,7 @@ fn daemon_records_are_byte_identical_to_direct_simulation() {
             Frame::Cell { id, cell, record } => {
                 assert_eq!(id, "ident");
                 assert!(expected.contains(&cell), "unexpected cell {cell}");
-                // The acceptance criterion: daemon bytes == direct bytes.
+                // The acceptance condition: daemon bytes == direct bytes.
                 assert_eq!(record, simulate_cell(&cell).unwrap(), "cell {cell}");
                 seen += 1;
             }
