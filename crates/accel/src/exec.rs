@@ -99,15 +99,11 @@ impl TimingExecutor {
                 Instruction::Vload { dest, src, size }
                 | Instruction::Vstore { dest, src, size } => {
                     let bytes = size as u64 * 4;
-                    self.charge_transfer(
-                        dest,
-                        src,
-                        bytes,
-                        &mut memory_ctrl_cycles,
-                        &mut dram_bytes,
-                        &mut energy,
-                        &mut first_load_cycles,
-                    );
+                    let ctrl = self.transfer_cycles(dest, src, bytes, &mut dram_bytes, &mut energy);
+                    if first_load_cycles == 0 {
+                        first_load_cycles = ctrl;
+                    }
+                    memory_ctrl_cycles += ctrl;
                 }
                 Instruction::Sload {
                     dest, src, size, n, ..
@@ -116,15 +112,11 @@ impl TimingExecutor {
                     dest, src, size, n, ..
                 } => {
                     let bytes = size as u64 * n as u64 * 4;
-                    self.charge_transfer(
-                        dest,
-                        src,
-                        bytes,
-                        &mut memory_ctrl_cycles,
-                        &mut dram_bytes,
-                        &mut energy,
-                        &mut first_load_cycles,
-                    );
+                    let ctrl = self.transfer_cycles(dest, src, bytes, &mut dram_bytes, &mut energy);
+                    if first_load_cycles == 0 {
+                        first_load_cycles = ctrl;
+                    }
+                    memory_ctrl_cycles += ctrl;
                 }
                 Instruction::Qload {
                     dest,
@@ -141,15 +133,12 @@ impl TimingExecutor {
                     // Quantized elements on the bus; FP32 on the far side
                     // of the SQU (cell reads for loads, NBout for stores).
                     let bytes = (size as f64 * self.qbytes(width)) as u64;
-                    self.charge_transfer(
-                        dest,
-                        src,
-                        bytes.max(1),
-                        &mut memory_ctrl_cycles,
-                        &mut dram_bytes,
-                        &mut energy,
-                        &mut first_load_cycles,
-                    );
+                    let ctrl =
+                        self.transfer_cycles(dest, src, bytes.max(1), &mut dram_bytes, &mut energy);
+                    if first_load_cycles == 0 {
+                        first_load_cycles = ctrl;
+                    }
+                    memory_ctrl_cycles += ctrl;
                     let cost = self.squ.stream_cost(size as u64);
                     squ_cycles += cost.stat_cycles.max(cost.quant_cycles) / squ_units;
                     energy.charge(Component::Acc, cost.energy_pj);
@@ -225,40 +214,6 @@ impl TimingExecutor {
             energy,
             dram_bytes,
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn charge_transfer(
-        &mut self,
-        dest: cq_isa::Operand,
-        src: cq_isa::Operand,
-        bytes: u64,
-        memory_ctrl_cycles: &mut u64,
-        dram_bytes: &mut u64,
-        energy: &mut EnergyBreakdown,
-        first_load_cycles: &mut u64,
-    ) {
-        let touches_dram = dest.space == MemSpace::Dram || src.space == MemSpace::Dram;
-        if touches_dram {
-            let dir = if dest.space == MemSpace::Dram {
-                Dir::Write
-            } else {
-                Dir::Read
-            };
-            let addr = if dest.space == MemSpace::Dram {
-                dest.offset
-            } else {
-                src.offset
-            } as u64;
-            let ctrl = self.mem.transfer(addr, bytes as usize, dir);
-            if *first_load_cycles == 0 {
-                *first_load_cycles = ctrl;
-            }
-            *memory_ctrl_cycles += ctrl;
-            *dram_bytes += bytes;
-            energy.charge(Component::DdrDynamic, self.energy_model.dram(bytes as f64));
-        }
-        energy.charge(Component::Buf, self.energy_model.sram(bytes as f64));
     }
 }
 

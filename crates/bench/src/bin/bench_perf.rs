@@ -979,7 +979,7 @@ fn main() {
     eprintln!(
         "bench_perf: threads={} quick={quick} fast-path=[{}]",
         Pool::global().threads(),
-        cq_tensor::fast_path_info()
+        cq_par::describe_active_plan()
     );
 
     // Reference GEMM always runs: it gates --check. So does the

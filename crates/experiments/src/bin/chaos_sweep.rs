@@ -32,17 +32,10 @@ fn main() {
     };
     let journal_path = match args.journal.clone() {
         Some(p) => p,
-        None => match journal_path_from_env("chaos_sweep") {
-            Ok(Some(p)) => p,
-            Ok(None) => {
-                eprintln!("chaos_sweep: no journal (pass --journal or set CQ_SWEEP_JOURNAL)");
-                std::process::exit(2);
-            }
-            Err(e) => {
-                eprintln!("chaos_sweep: {e}");
-                std::process::exit(2);
-            }
-        },
+        None => journal_path_from_env("chaos_sweep").unwrap_or_else(|| {
+            eprintln!("chaos_sweep: no journal (pass --journal or set CQ_SWEEP_JOURNAL)");
+            std::process::exit(2);
+        }),
     };
 
     let journal = match SweepJournal::open(&journal_path) {

@@ -33,12 +33,8 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let journal_path = journal_flag(std::env::args().skip(1)).or_else(|| {
-        journal_path_from_env("fault_sweep").unwrap_or_else(|e| {
-            eprintln!("fault_sweep: {e}");
-            std::process::exit(2);
-        })
-    });
+    let journal_path =
+        journal_flag(std::env::args().skip(1)).or_else(|| journal_path_from_env("fault_sweep"));
     let rows = match journal_path {
         None => resilience::run_sweep(),
         Some(path) => {

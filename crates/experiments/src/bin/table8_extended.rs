@@ -24,12 +24,8 @@ fn journal_flag<I: IntoIterator<Item = String>>(args: I) -> Option<String> {
 fn main() {
     let _profile = cq_experiments::profiling::init_for_bin();
     println!("Table VIII (extended) — all five Table III algorithms (accuracy %)\n");
-    let journal_path = journal_flag(std::env::args().skip(1)).or_else(|| {
-        journal_path_from_env("table8ext").unwrap_or_else(|e| {
-            eprintln!("table8_extended: {e}");
-            std::process::exit(2);
-        })
-    });
+    let journal_path =
+        journal_flag(std::env::args().skip(1)).or_else(|| journal_path_from_env("table8ext"));
     match journal_path {
         None => print!("{}", cq_experiments::accuracy::table8_extended(42)),
         Some(path) => {

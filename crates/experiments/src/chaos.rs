@@ -7,6 +7,7 @@
 //! it can be unit tested without spawning processes.
 
 use cq_faults::ChaosPlan;
+use cq_obs::knob::{knob, Blank};
 use cq_resil::{RetryPolicy, SweepJournal};
 
 /// Default chaos seed: the sweep seed, so one number reproduces both the
@@ -96,23 +97,26 @@ pub fn parse_chaos_args<I: IntoIterator<Item = String>>(args: I) -> Result<Chaos
     Ok(out)
 }
 
-/// Resolves the journal path for an experiment tagged `tag` from the
-/// `CQ_SWEEP_JOURNAL` environment variable: unset means "no journal",
-/// `base` means `base.<tag>.journal` (one variable covers every
-/// journal-aware binary without collisions). An empty or non-UTF-8
-/// value is a configuration error, reported as `Err` so the binaries
-/// abort loudly instead of silently running unjournaled.
-pub fn journal_path_from_env(tag: &str) -> Result<Option<String>, String> {
-    match std::env::var("CQ_SWEEP_JOURNAL") {
-        Ok(base) if base.trim().is_empty() => {
-            Err("CQ_SWEEP_JOURNAL is set but empty; set a base path or unset it".into())
-        }
-        Ok(base) => Ok(Some(format!("{base}.{tag}.journal"))),
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(v)) => {
-            Err(format!("CQ_SWEEP_JOURNAL is not valid UTF-8: {v:?}"))
-        }
-    }
+/// The `CQ_SWEEP_JOURNAL` base path, unset meaning "no journal".
+///
+/// # Panics
+///
+/// On a blank or non-UTF-8 value, so the binaries abort loudly instead
+/// of silently running unjournaled.
+pub(crate) fn journal_base() -> Option<String> {
+    knob(
+        "CQ_SWEEP_JOURNAL",
+        Blank::Invalid,
+        "a non-blank journal base path",
+        |s| Some(s.to_string()),
+    )
+}
+
+/// The journal path for an experiment tagged `tag`: `base.<tag>.journal`
+/// from [`journal_base`], so one variable covers every journal-aware
+/// binary without collisions.
+pub fn journal_path_from_env(tag: &str) -> Option<String> {
+    journal_base().map(|base| format!("{base}.{tag}.journal"))
 }
 
 /// The retry policy the journal-aware binaries run under: the default
@@ -201,11 +205,11 @@ mod tests {
 
     #[test]
     fn env_journal_paths_are_tagged() {
-        // Uses the current (unset-by-harness) state: NotPresent → None.
-        // The set/empty branches are pure string logic exercised via the
-        // match arms above; avoid mutating process env in tests.
+        // Uses the current (unset-by-harness) state: unset → None. The
+        // blank rejection is spawn-tested in `tests/knobs.rs`; avoid
+        // mutating process env in tests.
         if std::env::var_os("CQ_SWEEP_JOURNAL").is_none() {
-            assert_eq!(journal_path_from_env("fault_sweep"), Ok(None));
+            assert_eq!(journal_path_from_env("fault_sweep"), None);
         }
     }
 }

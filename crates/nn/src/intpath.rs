@@ -15,6 +15,7 @@
 //! `"fp32"` or `"int8"` — anything else aborts the process at first use
 //! rather than silently training on the wrong path.
 
+use cq_obs::knob::{knob, Blank};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -50,45 +51,22 @@ impl QuantPath {
     }
 }
 
-/// Resolves a raw `CQ_QUANT_PATH` value: `None`/empty means "unset, use
-/// the default"; anything else must parse or the run aborts. Mirrors the
-/// `CQ_BACKEND` contract — a typo must never silently select a path,
-/// because fp32-vs-int8 A/B accuracy comparisons would lie.
-pub(crate) fn resolve_env_quant_path(raw: Option<&str>) -> Result<QuantPath, String> {
-    match raw {
-        None => Ok(QuantPath::default()),
-        Some(v) if v.trim().is_empty() => Ok(QuantPath::default()),
-        Some(v) => QuantPath::parse(v).ok_or_else(|| {
-            format!("invalid CQ_QUANT_PATH value {v:?}: expected \"fp32\" or \"int8\"")
-        }),
-    }
-}
+/// What `CQ_QUANT_PATH` accepts.
+const QUANT_PATH_EXPECTED: &str = "\"fp32\" or \"int8\"";
 
 /// The process-wide default quant path from `CQ_QUANT_PATH`, resolved
 /// once. Panics on an invalid value.
 pub fn env_quant_path() -> QuantPath {
     static ENV: OnceLock<QuantPath> = OnceLock::new();
     *ENV.get_or_init(|| {
-        let raw = std::env::var("CQ_QUANT_PATH").ok();
-        match resolve_env_quant_path(raw.as_deref()) {
-            Ok(p) => p,
-            Err(msg) => panic!("{msg}"),
-        }
+        knob(
+            "CQ_QUANT_PATH",
+            Blank::Unset,
+            QUANT_PATH_EXPECTED,
+            QuantPath::parse,
+        )
+        .unwrap_or_default()
     })
-}
-
-/// Validates `CQ_QUANT_PATH` eagerly without touching the cached default.
-///
-/// Binaries call this from startup (`cq_experiments::profiling::init_for_bin`)
-/// so a typo aborts before any training work, not at the first quantized
-/// layer forward.
-///
-/// # Errors
-///
-/// Returns the same diagnostic [`env_quant_path`] would panic with.
-pub fn validate_env_quant_path() -> Result<QuantPath, String> {
-    let raw = std::env::var("CQ_QUANT_PATH").ok();
-    resolve_env_quant_path(raw.as_deref())
 }
 
 /// Counters for the integer path, shared by every clone of a
@@ -152,12 +130,19 @@ mod tests {
 
     #[test]
     fn env_resolution_rejects_unknown_values() {
-        assert_eq!(resolve_env_quant_path(None), Ok(QuantPath::Fp32));
-        assert_eq!(resolve_env_quant_path(Some("")), Ok(QuantPath::Fp32));
-        assert_eq!(resolve_env_quant_path(Some("  ")), Ok(QuantPath::Fp32));
-        assert_eq!(resolve_env_quant_path(Some("int8")), Ok(QuantPath::Int8));
-        assert_eq!(resolve_env_quant_path(Some(" FP32 ")), Ok(QuantPath::Fp32));
-        let err = resolve_env_quant_path(Some("int7")).unwrap_err();
+        let read = |v: &str| {
+            cq_obs::knob::parse_knob(
+                "CQ_QUANT_PATH",
+                Some(v.into()),
+                Blank::Unset,
+                QUANT_PATH_EXPECTED,
+                QuantPath::parse,
+            )
+        };
+        assert_eq!(QuantPath::default(), QuantPath::Fp32);
+        assert_eq!(read("  "), Ok(None));
+        assert_eq!(read(" FP32 "), Ok(Some(QuantPath::Fp32)));
+        let err = read("int7").unwrap_err().to_string();
         assert!(err.contains("invalid CQ_QUANT_PATH"), "{err}");
         assert!(err.contains("int7"), "{err}");
         assert!(err.contains("fp32"), "{err}");

@@ -57,7 +57,7 @@ mod watchdog;
 pub use activations::{BatchNorm1d, Sigmoid, Tanh};
 pub use attention::SelfAttention;
 pub use error::NnError;
-pub use intpath::{env_quant_path, validate_env_quant_path, IntPathStats, QuantPath};
+pub use intpath::{env_quant_path, IntPathStats, QuantPath};
 pub use layers::{Conv2d, Dense, Flatten, GlobalAvgPool, Layer, MaxPool2d, QuantCtx, Relu};
 pub use lstm::Lstm;
 pub use model::{Sequential, StepReport};

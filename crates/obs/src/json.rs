@@ -96,11 +96,19 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest container nesting [`parse`] accepts. The parser recurses once
+/// per level, so input from outside the process must not choose the
+/// depth; every schema, frame and baseline in the workspace nests far
+/// less than this.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed).
+/// Containers nested deeper than [`MAX_DEPTH`] are an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -114,6 +122,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -145,8 +155,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -322,6 +343,19 @@ mod tests {
         assert_eq!(parse("[]").unwrap(), Json::Arr(vec![]));
         assert_eq!(parse("{}").unwrap(), Json::Obj(vec![]));
         assert_eq!(parse("  {  }  ").unwrap(), Json::Obj(vec![]));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let obj = "{\"a\":".repeat(MAX_DEPTH - 1) + "[]" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(parse(&obj).is_ok());
+        for deep in [nested(MAX_DEPTH + 1), "[".repeat(200_000)] {
+            let err = parse(&deep).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH, "{err}");
+            assert!(err.message.contains("nesting deeper than 128"), "{err}");
+        }
     }
 
     #[test]

@@ -38,9 +38,10 @@
 //! assert_eq!(sink.take().len(), 1);
 //! ```
 //!
-//! Binaries call [`init_from_env`] (or honor a `--profile PATH` flag)
-//! and [`finish`] before exit; `CQ_TRACE=<path>` selects the sink — a
-//! `.jsonl` suffix means JSONL, anything else Chrome trace format.
+//! Binaries pass [`env_trace_path`] (or a `--profile PATH` flag) to
+//! [`init_to_path`] and call [`finish`] before exit; `CQ_TRACE=<path>`
+//! selects the sink — a `.jsonl` suffix means JSONL, anything else
+//! Chrome trace format. Every `CQ_*` knob is read through [`knob`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -48,6 +49,7 @@
 mod counter;
 mod event;
 pub mod json;
+pub mod knob;
 mod sink;
 mod span;
 
@@ -143,18 +145,12 @@ pub fn init_to_path(path: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Reads `CQ_TRACE` and installs the matching file sink. Returns the
-/// path when tracing was enabled. An unset or empty variable leaves
-/// tracing off; an unwritable path is an error (callers should fail
-/// loudly rather than silently profile nothing).
-pub fn init_from_env() -> std::io::Result<Option<String>> {
-    match std::env::var("CQ_TRACE") {
-        Ok(path) if !path.trim().is_empty() => {
-            init_to_path(&path)?;
-            Ok(Some(path))
-        }
-        _ => Ok(None),
-    }
+/// The `CQ_TRACE` trace path, resolved through [`knob`]. Unset or blank
+/// leaves tracing off.
+pub fn env_trace_path() -> Option<String> {
+    knob::knob("CQ_TRACE", knob::Blank::Unset, "a trace file path", |s| {
+        Some(s.to_string())
+    })
 }
 
 #[cfg(test)]

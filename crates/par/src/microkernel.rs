@@ -34,6 +34,7 @@
 // runtime feature detection in `simd_level()`.
 #![allow(unsafe_code)]
 
+use cq_obs::knob::{knob, Blank};
 use std::sync::OnceLock;
 
 /// Largest `MR` any registered kernel uses (sizes the edge-tile scratch).
@@ -563,33 +564,31 @@ fn avx2_available() -> bool {
     }
 }
 
-/// Resolves a raw `CQ_SIMD` value against hardware capability.
-/// `None`/empty means `auto` (best available). `scalar` always works;
-/// `avx2` must actually be runnable or the run aborts — silently falling
-/// back would invalidate any A/B kernel comparison.
-fn resolve_env_simd(raw: Option<&str>, avx2_ok: bool) -> Result<SimdLevel, String> {
-    let auto = || {
-        if avx2_ok {
-            SimdLevel::Avx2
-        } else {
-            SimdLevel::Scalar
-        }
-    };
-    match raw {
-        None => Ok(auto()),
-        Some(v) if v.trim().is_empty() => Ok(auto()),
-        Some(v) if v.trim().eq_ignore_ascii_case("auto") => Ok(auto()),
-        Some(v) => match SimdLevel::parse(v) {
-            Some(SimdLevel::Scalar) => Ok(SimdLevel::Scalar),
-            Some(SimdLevel::Avx2) if avx2_ok => Ok(SimdLevel::Avx2),
-            Some(SimdLevel::Avx2) => Err(format!(
-                "CQ_SIMD={v:?} requests the AVX2 micro-kernels but this CPU/target \
-                 does not support AVX2+FMA"
-            )),
-            None => Err(format!(
-                "invalid CQ_SIMD value {v:?}: expected \"auto\", \"scalar\" or \"avx2\""
-            )),
-        },
+/// What `CQ_SIMD` accepts.
+const SIMD_EXPECTED: &str = "\"auto\", \"scalar\" or \"avx2\"";
+
+/// Parses a `CQ_SIMD` spelling: `Some(None)` for `auto` (best
+/// available), `Some(Some(level))` for a named level.
+fn parse_simd(s: &str) -> Option<Option<SimdLevel>> {
+    if s.trim().eq_ignore_ascii_case("auto") {
+        Some(None)
+    } else {
+        SimdLevel::parse(s).map(Some)
+    }
+}
+
+/// The level a `CQ_SIMD` request runs on a CPU with or without AVX2+FMA:
+/// `None` (unset or `auto`) picks the best available; `avx2` must be
+/// runnable or the run aborts, since silently falling back would
+/// invalidate any A/B kernel comparison.
+fn runnable_simd(requested: Option<SimdLevel>, avx2_ok: bool) -> Result<SimdLevel, String> {
+    match requested {
+        None if avx2_ok => Ok(SimdLevel::Avx2),
+        None => Ok(SimdLevel::Scalar),
+        Some(SimdLevel::Avx2) if !avx2_ok => Err("CQ_SIMD=\"avx2\" requests the AVX2 \
+             micro-kernels but this CPU/target does not support AVX2+FMA"
+            .into()),
+        Some(level) => Ok(level),
     }
 }
 
@@ -598,37 +597,46 @@ fn resolve_env_simd(raw: Option<&str>, avx2_ok: bool) -> Result<SimdLevel, Strin
 pub fn simd_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
-        let raw = std::env::var("CQ_SIMD").ok();
-        match resolve_env_simd(raw.as_deref(), avx2_available()) {
-            Ok(level) => level,
-            Err(msg) => panic!("{msg}"),
-        }
+        let requested = knob("CQ_SIMD", Blank::Unset, SIMD_EXPECTED, parse_simd).flatten();
+        runnable_simd(requested, avx2_available()).unwrap_or_else(|msg| panic!("{msg}"))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cq_obs::knob::parse_knob;
 
     #[test]
     fn env_resolution_rejects_garbage() {
-        assert_eq!(resolve_env_simd(None, true), Ok(SimdLevel::Avx2));
-        assert_eq!(resolve_env_simd(None, false), Ok(SimdLevel::Scalar));
-        assert_eq!(resolve_env_simd(Some(""), true), Ok(SimdLevel::Avx2));
-        assert_eq!(
-            resolve_env_simd(Some(" AUTO "), false),
-            Ok(SimdLevel::Scalar)
-        );
-        assert_eq!(
-            resolve_env_simd(Some("scalar"), true),
-            Ok(SimdLevel::Scalar)
-        );
-        assert_eq!(resolve_env_simd(Some(" Avx2 "), true), Ok(SimdLevel::Avx2));
-        let err = resolve_env_simd(Some("avx2"), false).unwrap_err();
-        assert!(err.contains("AVX2"), "{err}");
-        let err = resolve_env_simd(Some("sse9"), true).unwrap_err();
+        let read = |v: &str| {
+            parse_knob(
+                "CQ_SIMD",
+                Some(v.into()),
+                Blank::Unset,
+                SIMD_EXPECTED,
+                parse_simd,
+            )
+        };
+        assert_eq!(read(""), Ok(None));
+        assert_eq!(read(" AUTO "), Ok(Some(None)));
+        assert_eq!(read("scalar"), Ok(Some(Some(SimdLevel::Scalar))));
+        assert_eq!(read(" Avx2 "), Ok(Some(Some(SimdLevel::Avx2))));
+        let err = read("sse9").unwrap_err().to_string();
         assert!(err.contains("invalid CQ_SIMD"), "{err}");
         assert!(err.contains("scalar"), "{err}");
+        assert_eq!(runnable_simd(None, true), Ok(SimdLevel::Avx2));
+        assert_eq!(runnable_simd(None, false), Ok(SimdLevel::Scalar));
+        assert_eq!(
+            runnable_simd(Some(SimdLevel::Scalar), true),
+            Ok(SimdLevel::Scalar)
+        );
+        assert_eq!(
+            runnable_simd(Some(SimdLevel::Avx2), true),
+            Ok(SimdLevel::Avx2)
+        );
+        let err = runnable_simd(Some(SimdLevel::Avx2), false).unwrap_err();
+        assert!(err.contains("AVX2"), "{err}");
     }
 
     #[test]

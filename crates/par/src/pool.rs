@@ -8,9 +8,13 @@
 //! with tiny workloads should stay serial (see the thresholds in
 //! [`crate::gemm`]).
 
+use cq_obs::knob::{knob, positive, Blank};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+/// What `CQ_THREADS` accepts.
+const THREADS_EXPECTED: &str = "a positive integer";
 
 /// A fan-out helper over scoped `std::thread`s.
 ///
@@ -44,10 +48,15 @@ impl Pool {
     /// The process-wide pool.
     ///
     /// Thread count comes from the `CQ_THREADS` environment variable if set
-    /// to a positive integer, else from `std::thread::available_parallelism`.
+    /// (it must be a positive integer), else from
+    /// `std::thread::available_parallelism`. Resolved on first use.
     pub fn global() -> &'static Pool {
         static GLOBAL: OnceLock<Pool> = OnceLock::new();
-        GLOBAL.get_or_init(|| Pool::new(threads_from_env()))
+        GLOBAL.get_or_init(|| {
+            let threads = knob("CQ_THREADS", Blank::Unset, THREADS_EXPECTED, positive)
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+            Pool::new(threads)
+        })
     }
 
     /// Maximum number of workers this pool fans out to.
@@ -274,12 +283,6 @@ impl Pool {
     }
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::new(threads_from_env())
-    }
-}
-
 /// Runs one worker's chunk, accounting per-worker busy time and item
 /// throughput when tracing is enabled. With tracing off this is a plain
 /// call — no clock reads.
@@ -300,38 +303,10 @@ where
     cq_obs::counter!("par.busy_us").add(busy_us as u64);
 }
 
-/// Resolves a raw `CQ_THREADS` value to a worker count. `None` or an
-/// empty string means "unset" (`Ok(None)`, caller picks the hardware
-/// default); anything else must be a positive integer or the run aborts.
-/// A typo like `CQ_THREADS=fuor` used to silently use all cores, which
-/// quietly invalidates scaling experiments.
-fn resolve_env_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(v) = raw else { return Ok(None) };
-    if v.trim().is_empty() {
-        return Ok(None);
-    }
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(Some(n)),
-        _ => Err(format!(
-            "invalid CQ_THREADS value {v:?}: expected a positive integer"
-        )),
-    }
-}
-
-fn threads_from_env() -> usize {
-    let raw = std::env::var("CQ_THREADS").ok();
-    match resolve_env_threads(raw.as_deref()) {
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        Err(msg) => panic!("{msg}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cq_obs::knob::parse_knob;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -502,13 +477,19 @@ mod tests {
 
     #[test]
     fn env_thread_resolution_rejects_garbage() {
-        assert_eq!(resolve_env_threads(None), Ok(None));
-        assert_eq!(resolve_env_threads(Some("")), Ok(None));
-        assert_eq!(resolve_env_threads(Some("  ")), Ok(None));
-        assert_eq!(resolve_env_threads(Some("4")), Ok(Some(4)));
-        assert_eq!(resolve_env_threads(Some(" 16 ")), Ok(Some(16)));
+        let read = |v: &str| {
+            parse_knob(
+                "CQ_THREADS",
+                Some(v.into()),
+                Blank::Unset,
+                THREADS_EXPECTED,
+                positive,
+            )
+        };
+        assert_eq!(read("  "), Ok(None));
+        assert_eq!(read(" 16 "), Ok(Some(16)));
         for bad in ["fuor", "0", "-2", "3.5", "4 threads"] {
-            let err = resolve_env_threads(Some(bad)).unwrap_err();
+            let err = read(bad).unwrap_err().to_string();
             assert!(err.contains("invalid CQ_THREADS"), "{err}");
             assert!(err.contains("positive integer"), "{err}");
         }

@@ -32,6 +32,7 @@
 use crate::microkernel::{
     kernel_for, simd_level, KernFn, SimdLevel, MAX_MR, MAX_NR, SUPPORTED_TILES,
 };
+use cq_obs::knob::{knob, Blank};
 use std::sync::OnceLock;
 
 /// Blocking parameters for the three-level GEMM loop nest.
@@ -232,8 +233,11 @@ pub fn active_plan() -> &'static GemmPlan {
     static PLAN: OnceLock<GemmPlan> = OnceLock::new();
     PLAN.get_or_init(|| {
         let level = simd_level();
-        let (simd, cfg) = match std::env::var("CQ_TUNE_FILE") {
-            Ok(path) if !path.trim().is_empty() => {
+        let tune_file = knob("CQ_TUNE_FILE", Blank::Unset, "a profile path", |s| {
+            Some(s.to_string())
+        });
+        let (simd, cfg) = match tune_file {
+            Some(path) => {
                 let text = std::fs::read_to_string(&path)
                     .unwrap_or_else(|e| panic!("CQ_TUNE_FILE={path:?} could not be read: {e}"));
                 let (simd, cfg) = parse_profile(&text)
@@ -248,7 +252,7 @@ pub fn active_plan() -> &'static GemmPlan {
                 }
                 (simd, cfg)
             }
-            _ => default_profile(level),
+            None => default_profile(level),
         };
         GemmPlan::new(simd, cfg).unwrap_or_else(|e| panic!("invalid GEMM plan: {e}"))
     })

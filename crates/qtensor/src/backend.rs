@@ -6,7 +6,8 @@
 //!   loops, kept as the bit-accurate reference.
 //! * [`Backend::Fast`] — `cq-par`'s three-level blocked GEMM (SIMD
 //!   micro-kernel under KC/MC/NC panel blocking, selected by `CQ_SIMD` /
-//!   `CQ_TUNE_FILE` — see [`fast_path_info`]) and im2col convolution,
+//!   `CQ_TUNE_FILE` — see [`cq_par::describe_active_plan`]) and im2col
+//!   convolution,
 //!   parallelized over the global worker pool.
 //!
 //! Both accumulate every output element over the reduction dimension in
@@ -18,12 +19,12 @@
 //! naive loops.
 //!
 //! The process-wide default is [`Backend::Fast`], overridable by the
-//! `CQ_BACKEND` environment variable (`naive` or `fast`) at startup and by
-//! [`set_default_backend`] at run time. Any other `CQ_BACKEND` value
-//! aborts with a diagnostic rather than silently falling back. Worker
-//! count comes from `CQ_THREADS` (see [`cq_par::Pool::global`]).
+//! `CQ_BACKEND` environment variable (`naive` or `fast`). Any other
+//! `CQ_BACKEND` value aborts with a diagnostic rather than silently
+//! falling back. Worker count comes from `CQ_THREADS` (see
+//! [`cq_par::Pool::global`]).
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use cq_obs::knob::{knob, Blank};
 use std::sync::OnceLock;
 
 /// Which implementation the dense kernels run on.
@@ -55,63 +56,16 @@ impl Backend {
     }
 }
 
-/// Run-time override set through [`set_default_backend`]: 0 = unset,
-/// 1 = naive, 2 = fast.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// What `CQ_BACKEND` accepts.
+const BACKEND_EXPECTED: &str = "\"naive\" or \"fast\"";
 
-/// Resolves a raw `CQ_BACKEND` value: `None`/empty means "unset, use the
-/// default"; anything else must parse or the run aborts. A typo like
-/// `CQ_BACKEND=bogus` used to silently select [`Backend::Fast`], which
-/// makes A/B comparisons lie — fail loudly instead.
-fn resolve_env_backend(raw: Option<&str>) -> Result<Backend, String> {
-    match raw {
-        None => Ok(Backend::default()),
-        Some(v) if v.trim().is_empty() => Ok(Backend::default()),
-        Some(v) => Backend::parse(v).ok_or_else(|| {
-            format!("invalid CQ_BACKEND value {v:?}: expected \"naive\" or \"fast\"")
-        }),
-    }
-}
-
-fn env_default() -> Backend {
+/// The backend used by the plain `ops::*` entry points: `CQ_BACKEND`,
+/// else [`Backend::Fast`]. Resolved once.
+pub fn default_backend() -> Backend {
     static ENV: OnceLock<Backend> = OnceLock::new();
     *ENV.get_or_init(|| {
-        let raw = std::env::var("CQ_BACKEND").ok();
-        match resolve_env_backend(raw.as_deref()) {
-            Ok(b) => b,
-            Err(msg) => panic!("{msg}"),
-        }
+        knob("CQ_BACKEND", Blank::Unset, BACKEND_EXPECTED, Backend::parse).unwrap_or_default()
     })
-}
-
-/// The backend used by the plain `ops::*` entry points.
-///
-/// Resolution order: [`set_default_backend`] override, then the
-/// `CQ_BACKEND` environment variable, then [`Backend::Fast`].
-pub fn default_backend() -> Backend {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => Backend::Naive,
-        2 => Backend::Fast,
-        _ => env_default(),
-    }
-}
-
-/// Overrides the process-wide default backend (e.g. for A/B timing runs).
-pub fn set_default_backend(backend: Backend) {
-    let v = match backend {
-        Backend::Naive => 1,
-        Backend::Fast => 2,
-    };
-    OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// One-line description of what the Fast backend resolves to on this
-/// process: SIMD micro-kernel level and blocking plan (e.g.
-/// `"avx2 6x16 kc=512 mc=144 nc=2048"`). Forces plan resolution, so a
-/// bad `CQ_SIMD`/`CQ_TUNE_FILE` aborts here rather than mid-GEMM —
-/// bench and experiment binaries print this up front for provenance.
-pub fn fast_path_info() -> String {
-    cq_par::describe_active_plan()
 }
 
 #[cfg(test)]
@@ -129,24 +83,21 @@ mod tests {
 
     #[test]
     fn env_resolution_rejects_unknown_values() {
-        assert_eq!(resolve_env_backend(None), Ok(Backend::Fast));
-        assert_eq!(resolve_env_backend(Some("")), Ok(Backend::Fast));
-        assert_eq!(resolve_env_backend(Some("  ")), Ok(Backend::Fast));
-        assert_eq!(resolve_env_backend(Some("naive")), Ok(Backend::Naive));
-        assert_eq!(resolve_env_backend(Some(" FAST ")), Ok(Backend::Fast));
-        let err = resolve_env_backend(Some("bogus")).unwrap_err();
+        let read = |v: &str| {
+            cq_obs::knob::parse_knob(
+                "CQ_BACKEND",
+                Some(v.into()),
+                Blank::Unset,
+                BACKEND_EXPECTED,
+                Backend::parse,
+            )
+        };
+        assert_eq!(Backend::default(), Backend::Fast);
+        assert_eq!(read("  "), Ok(None));
+        assert_eq!(read(" FAST "), Ok(Some(Backend::Fast)));
+        let err = read("bogus").unwrap_err().to_string();
         assert!(err.contains("invalid CQ_BACKEND"), "{err}");
         assert!(err.contains("bogus"), "{err}");
         assert!(err.contains("naive"), "{err}");
-    }
-
-    #[test]
-    fn override_round_trips() {
-        let before = default_backend();
-        set_default_backend(Backend::Naive);
-        assert_eq!(default_backend(), Backend::Naive);
-        set_default_backend(Backend::Fast);
-        assert_eq!(default_backend(), Backend::Fast);
-        set_default_backend(before);
     }
 }

@@ -4,13 +4,12 @@
 //! cq_serve [--addr 127.0.0.1:4655] [--workers N] [--queue-cap N] [--retry-after-ms N]
 //! ```
 //!
-//! Aborts before binding when `CQ_MAPPING`, `CQ_HWCACHE` or
-//! `CQ_HWCACHE_CAP` is invalid. Prints `cq-serve listening on <addr>`
-//! once the socket is bound (CI waits for that line), then serves until
-//! SIGTERM/SIGINT or a protocol-level `{"type":"shutdown"}` request.
-//! Shutdown drains every admitted cell before exiting, and
-//! `CQ_TRACE`/`CQ_OBS` observability flushes on the way out, so traces
-//! stay valid.
+//! Aborts before binding when `CQ_MAPPING`, `CQ_HWCACHE`,
+//! `CQ_HWCACHE_CAP` or `CQ_TRACE` is invalid. Prints `cq-serve listening
+//! on <addr>` once the socket is bound (CI waits for that line), then
+//! serves until SIGTERM/SIGINT or a protocol-level `{"type":"shutdown"}`
+//! request. Shutdown drains every admitted cell before exiting, and the
+//! `CQ_TRACE` sink flushes on the way out, so traces stay valid.
 
 #![deny(unsafe_code)]
 
@@ -95,9 +94,11 @@ fn main() {
     cq_sim::hwcache_enabled();
     cq_sim::hwcache_cap();
 
-    if let Err(e) = cq_obs::init_from_env() {
-        eprintln!("cq_serve: observability init failed: {e}");
-        std::process::exit(1);
+    if let Some(path) = cq_obs::env_trace_path() {
+        if let Err(e) = cq_obs::init_to_path(&path) {
+            eprintln!("cq_serve: cannot open CQ_TRACE path {path:?}: {e}");
+            std::process::exit(1);
+        }
     }
 
     let server = match Server::bind(&addr, cfg) {

@@ -178,19 +178,25 @@ fn invalid_requests_get_error_frames_and_the_connection_survives() {
     client.send("{\"type\":\"ping\"}");
     assert_eq!(client.recv(), Frame::Pong);
 
+    // Far past the JSON nesting limit: an error frame, not a stack overflow.
+    let deep = "[".repeat(200_000);
     for bad in [
         "this is not json",
         "{\"id\":\"x\",\"nets\":[\"nope\"],\"configs\":[\"edge\"],\"optimizers\":[\"sgd\"]}",
         "{\"type\":\"sweep\"}",
+        &deep,
     ] {
         client.send(bad);
         match client.recv() {
             Frame::Error { error } => assert!(!error.is_empty()),
-            other => panic!("expected error frame for {bad:?}, got {other:?}"),
+            other => panic!(
+                "expected error frame for {:?}, got {other:?}",
+                &bad[..bad.len().min(80)]
+            ),
         }
     }
 
-    // Still serviceable after three bad requests.
+    // Still serviceable after four bad requests.
     client.send("{\"type\":\"ping\"}");
     assert_eq!(client.recv(), Frame::Pong);
 

@@ -56,6 +56,7 @@
 //! silently picking a mode). [`set_hwcache_enabled`] is the programmatic
 //! override used by `bench_perf`.
 
+use cq_obs::knob::{knob, positive, Blank};
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -317,70 +318,45 @@ pub fn set_hwcache_enabled(enabled: bool) {
     OVERRIDE.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
 }
 
+/// What `CQ_HWCACHE` accepts.
+const HWCACHE_EXPECTED: &str = "on/off/1/0/true/false";
+
+/// What `CQ_HWCACHE_CAP` accepts.
+const CAP_EXPECTED: &str = "a positive integer";
+
+/// Parses a `CQ_HWCACHE` on/off spelling (case-insensitive).
+fn parse_switch(s: &str) -> Option<bool> {
+    match s.trim().to_ascii_lowercase().as_str() {
+        "on" | "1" | "true" => Some(true),
+        "off" | "0" | "false" => Some(false),
+        _ => None,
+    }
+}
+
+/// The `CQ_HWCACHE` setting (cached for the process lifetime): on unless
+/// set to an off spelling. A typo like `CQ_HWCACHE=offf` aborts rather
+/// than silently leaving the cache on, which would invalidate any
+/// sweep-timing comparison.
 fn env_default() -> bool {
     static CACHED: OnceLock<bool> = OnceLock::new();
     *CACHED.get_or_init(|| {
-        let raw = std::env::var("CQ_HWCACHE").ok();
-        match resolve_env_hwcache(raw.as_deref()) {
-            Ok(on) => on,
-            Err(msg) => panic!("{msg}"),
-        }
+        knob("CQ_HWCACHE", Blank::Unset, HWCACHE_EXPECTED, parse_switch).unwrap_or(true)
     })
 }
 
 /// The validated `CQ_HWCACHE_CAP` entry bound (cached for the process
-/// lifetime): `None` when unset, the cap otherwise. An unparsable value
-/// aborts the run rather than silently leaving the cache unbounded.
+/// lifetime): `None` when unset, the cap otherwise. A value like
+/// `CQ_HWCACHE_CAP=1e6` aborts the run rather than silently leaving the
+/// cache unbounded.
 pub fn hwcache_cap() -> Option<usize> {
     static CACHED: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        let raw = std::env::var("CQ_HWCACHE_CAP").ok();
-        match resolve_env_cap(raw.as_deref()) {
-            Ok(cap) => cap,
-            Err(msg) => panic!("{msg}"),
-        }
-    })
-}
-
-/// Resolves a raw `CQ_HWCACHE` value. `None`/empty means "unset" (cache
-/// on). Anything else must be a recognized on/off spelling, or the run
-/// aborts: a typo like `CQ_HWCACHE=offf` silently leaving the cache on
-/// would invalidate any sweep-timing comparison.
-fn resolve_env_hwcache(raw: Option<&str>) -> Result<bool, String> {
-    let Some(v) = raw else { return Ok(true) };
-    let t = v.trim();
-    if t.is_empty() {
-        return Ok(true);
-    }
-    match t.to_ascii_lowercase().as_str() {
-        "on" | "1" | "true" => Ok(true),
-        "off" | "0" | "false" => Ok(false),
-        _ => Err(format!(
-            "invalid CQ_HWCACHE value {v:?}: expected on/off/1/0/true/false"
-        )),
-    }
-}
-
-/// Resolves a raw `CQ_HWCACHE_CAP` value. `None`/empty means "unset"
-/// (unbounded). Anything else must be a positive integer, or the run
-/// aborts: a typo like `CQ_HWCACHE_CAP=1e6` silently leaving the cache
-/// unbounded would defeat the memory bound it was set to enforce.
-fn resolve_env_cap(raw: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(v) = raw else { return Ok(None) };
-    if v.trim().is_empty() {
-        return Ok(None);
-    }
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(Some(n)),
-        _ => Err(format!(
-            "invalid CQ_HWCACHE_CAP value {v:?}: expected a positive integer"
-        )),
-    }
+    *CACHED.get_or_init(|| knob("CQ_HWCACHE_CAP", Blank::Unset, CAP_EXPECTED, positive))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cq_obs::knob::parse_knob;
 
     /// `set_hwcache_enabled` mutates process-global state; serialize the
     /// tests that toggle it so parallel test threads don't observe each
@@ -473,30 +449,43 @@ mod tests {
 
     #[test]
     fn env_resolution_rejects_garbage() {
-        assert_eq!(resolve_env_hwcache(None), Ok(true));
-        assert_eq!(resolve_env_hwcache(Some("")), Ok(true));
-        assert_eq!(resolve_env_hwcache(Some("  ")), Ok(true));
+        let read = |v: &str| {
+            parse_knob(
+                "CQ_HWCACHE",
+                Some(v.into()),
+                Blank::Unset,
+                HWCACHE_EXPECTED,
+                parse_switch,
+            )
+        };
+        assert_eq!(read("  "), Ok(None));
         for on in ["on", "1", "true", " ON ", "True"] {
-            assert_eq!(resolve_env_hwcache(Some(on)), Ok(true), "{on}");
+            assert_eq!(read(on), Ok(Some(true)), "{on}");
         }
         for off in ["off", "0", "false", " OFF "] {
-            assert_eq!(resolve_env_hwcache(Some(off)), Ok(false), "{off}");
+            assert_eq!(read(off), Ok(Some(false)), "{off}");
         }
         for bad in ["offf", "yes", "no", "2", "disable"] {
-            let err = resolve_env_hwcache(Some(bad)).unwrap_err();
+            let err = read(bad).unwrap_err().to_string();
             assert!(err.contains("invalid CQ_HWCACHE"), "{err}");
         }
     }
 
     #[test]
     fn cap_env_resolution_rejects_garbage() {
-        assert_eq!(resolve_env_cap(None), Ok(None));
-        assert_eq!(resolve_env_cap(Some("")), Ok(None));
-        assert_eq!(resolve_env_cap(Some("  ")), Ok(None));
-        assert_eq!(resolve_env_cap(Some("64")), Ok(Some(64)));
-        assert_eq!(resolve_env_cap(Some(" 1024 ")), Ok(Some(1024)));
+        let read = |v: &str| {
+            parse_knob(
+                "CQ_HWCACHE_CAP",
+                Some(v.into()),
+                Blank::Unset,
+                CAP_EXPECTED,
+                positive,
+            )
+        };
+        assert_eq!(read("  "), Ok(None));
+        assert_eq!(read(" 1024 "), Ok(Some(1024)));
         for bad in ["0", "-1", "1e6", "big", "64 entries", "3.5"] {
-            let err = resolve_env_cap(Some(bad)).unwrap_err();
+            let err = read(bad).unwrap_err().to_string();
             assert!(err.contains("invalid CQ_HWCACHE_CAP"), "{err}");
             assert!(err.contains("positive integer"), "{err}");
         }

@@ -33,6 +33,7 @@
 //! (`default` | `search` | a mapping-table file path) and is validated
 //! eagerly in `profiling::init_for_bin` like `CQ_BACKEND`/`CQ_SIMD`.
 
+use cq_obs::knob::{knob, Blank};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -602,60 +603,40 @@ impl MappingPolicy {
     }
 }
 
-/// Raw resolution of a `CQ_MAPPING` value, before any file I/O. Pure so
-/// it can be unit tested; unknown keywords become file paths, which
-/// [`env_policy`] then validates (an unreadable or unparsable path
-/// aborts rather than silently falling back to the default mapping).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EnvMapping {
-    /// Use [`MappingPolicy::Default`].
-    Default,
-    /// Use [`MappingPolicy::Search`].
-    Search,
-    /// Load a [`MappingTable`] from this path.
-    File(String),
-}
+/// What `CQ_MAPPING` accepts.
+const MAPPING_EXPECTED: &str = "default, search, or a readable mapping-table file";
 
-/// Resolves a raw `CQ_MAPPING` value. `None`/empty means "unset"
-/// (default mapping).
-pub fn resolve_env_mapping(raw: Option<&str>) -> EnvMapping {
-    let Some(v) = raw else {
-        return EnvMapping::Default;
-    };
-    let t = v.trim();
-    if t.is_empty() {
-        return EnvMapping::Default;
+/// The policy a trimmed, non-blank `CQ_MAPPING` value selects: `default`
+/// or `search` in any case, else a mapping-table file that must load.
+/// The error is the abort message.
+fn policy_for(value: &str) -> Result<MappingPolicy, String> {
+    match value.to_ascii_lowercase().as_str() {
+        "default" => return Ok(MappingPolicy::Default),
+        "search" => return Ok(MappingPolicy::Search),
+        _ => {}
     }
-    match t.to_ascii_lowercase().as_str() {
-        "default" => EnvMapping::Default,
-        "search" => EnvMapping::Search,
-        _ => EnvMapping::File(t.to_string()),
-    }
+    let text = std::fs::read_to_string(value).map_err(|e| {
+        format!("invalid CQ_MAPPING value {value:?}: expected {MAPPING_EXPECTED} ({e})")
+    })?;
+    let table = MappingTable::parse(&text)
+        .map_err(|e| format!("invalid CQ_MAPPING table {value:?}: {e}"))?;
+    Ok(MappingPolicy::Table(table))
 }
 
 /// The validated process-wide `CQ_MAPPING` policy (cached for the
-/// process lifetime). A path that cannot be read or parsed aborts the
-/// run: a typo like `CQ_MAPPING=serach` silently simulating the default
-/// mapping would invalidate any mapping comparison.
+/// process lifetime; unset or blank means [`MappingPolicy::Default`]). A
+/// path that cannot be read or parsed aborts the run: a typo like
+/// `CQ_MAPPING=serach` silently simulating the default mapping would
+/// invalidate any mapping comparison.
 pub fn env_policy() -> &'static MappingPolicy {
     static CACHED: OnceLock<MappingPolicy> = OnceLock::new();
     CACHED.get_or_init(|| {
-        let raw = std::env::var("CQ_MAPPING").ok();
-        match resolve_env_mapping(raw.as_deref()) {
-            EnvMapping::Default => MappingPolicy::Default,
-            EnvMapping::Search => MappingPolicy::Search,
-            EnvMapping::File(path) => {
-                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    panic!(
-                        "invalid CQ_MAPPING value {path:?}: expected default, search, \
-                         or a readable mapping-table file ({e})"
-                    )
-                });
-                let table = MappingTable::parse(&text)
-                    .unwrap_or_else(|e| panic!("invalid CQ_MAPPING table {path:?}: {e}"));
-                MappingPolicy::Table(table)
-            }
-        }
+        let value = knob("CQ_MAPPING", Blank::Unset, MAPPING_EXPECTED, |s| {
+            Some(s.trim().to_string())
+        });
+        value.map_or(MappingPolicy::Default, |v| {
+            policy_for(&v).unwrap_or_else(|msg| panic!("{msg}"))
+        })
     })
 }
 
@@ -864,14 +845,12 @@ mod tests {
 
     #[test]
     fn env_mapping_resolution() {
-        assert_eq!(resolve_env_mapping(None), EnvMapping::Default);
-        assert_eq!(resolve_env_mapping(Some("")), EnvMapping::Default);
-        assert_eq!(resolve_env_mapping(Some("  ")), EnvMapping::Default);
-        assert_eq!(resolve_env_mapping(Some("Default")), EnvMapping::Default);
-        assert_eq!(resolve_env_mapping(Some(" SEARCH ")), EnvMapping::Search);
-        assert_eq!(
-            resolve_env_mapping(Some("maps/resnet.map")),
-            EnvMapping::File("maps/resnet.map".into())
+        assert_eq!(policy_for("Default"), Ok(MappingPolicy::Default));
+        assert_eq!(policy_for("SEARCH"), Ok(MappingPolicy::Search));
+        let err = policy_for("maps/missing.map").unwrap_err();
+        assert!(
+            err.starts_with("invalid CQ_MAPPING value \"maps/missing.map\": expected default"),
+            "{err}"
         );
     }
 

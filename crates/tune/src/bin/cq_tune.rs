@@ -11,6 +11,8 @@
 use cq_tune::{tune_with_log, TuneOptions};
 
 fn main() {
+    // The only knob this binary reads: a bad CQ_SIMD aborts before any work.
+    let simd = cq_par::simd_level();
     let mut quick = false;
     let mut out: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -35,7 +37,7 @@ fn main() {
     eprintln!(
         "cq_tune: searching ({} mode, simd={})",
         if quick { "quick" } else { "full" },
-        cq_par::simd_level().name()
+        simd.name()
     );
     let result = tune_with_log(TuneOptions { quick }, |line| eprintln!("{line}"));
     let profile = result.profile();
