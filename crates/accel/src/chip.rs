@@ -127,53 +127,6 @@ impl CambriconQ {
         self.config.train_format.bytes()
     }
 
-    /// Simulates one *inference* minibatch: the forward pass only (§VII.C
-    /// notes the same 4-bit PEs serve 4-bit inference models directly).
-    pub fn simulate_inference(&self, net: &Network) -> SimResult {
-        let mut mem = DdrModel::new(self.config.ddr);
-        let mut phases = PhaseBreakdown::new();
-        let mut energy = EnergyBreakdown::new();
-        let batch = net.batch_size;
-        for layer in &net.layers {
-            let inputs = layer.input_count() * batch as u64;
-            let outputs = layer.output_count() * batch as u64;
-            let weights = layer.weight_count();
-            let matmuls = layer.as_matmuls(batch);
-            let mapping = self.layer_mapping(net, layer, batch);
-            let me = self.eval_mapping(&mapping, &matmuls);
-            let (compute, compute_cycles) = self.layer_compute(&matmuls, me.kfold);
-            let mut reads = vec![
-                (inputs * me.f_in, self.qbytes()),
-                (weights * me.f_w, self.qbytes()),
-            ];
-            let mut writes = vec![(outputs, self.qbytes())];
-            push_spills(&mut reads, &mut writes, me.spill_elems);
-            self.charge_mac_phase(
-                Phase::Forward,
-                compute_cycles,
-                compute.energy_pj,
-                &reads,
-                &writes,
-                0, // inference weights are stored pre-quantized
-                &mut mem,
-                &mut phases,
-                &mut energy,
-            );
-        }
-        let seconds = phases.total_cycles() as f64 / (self.config.freq_ghz * 1e9);
-        energy.charge(
-            Component::DdrStandby,
-            DRAM_STANDBY_MW * 1e9 * seconds * self.config.ddr.bus_bytes as f64 / 8.0,
-        );
-        SimResult::new(
-            format!("{} (inference)", platform_name(&self.config)),
-            net.name.clone(),
-            self.config.freq_ghz,
-            phases,
-            energy,
-        )
-    }
-
     /// Simulates one training iteration (one minibatch) of `net`.
     ///
     /// Results are memoized process-wide by (config, optimizer, network):
@@ -229,10 +182,6 @@ impl CambriconQ {
 
     /// The memoized whole-iteration run for this (config, optimizer, net,
     /// mapping policy), keyed by [`CambriconQ::cache_key`].
-    ///
-    /// Inference ([`CambriconQ::simulate_inference`]) and external-baseline
-    /// simulations are deliberately uncached: they are not re-invoked with
-    /// identical inputs inside sweeps often enough to matter.
     fn cached_run(&self, net: &Network, optimizer: OptimizerKind) -> Arc<CachedRun> {
         let key = self.cache_key(net, optimizer);
         sim_cache().get_or_compute(key, || self.fresh_run(net, optimizer))
@@ -325,20 +274,8 @@ impl CambriconQ {
             profile.push((layer.name.clone(), delta));
         }
 
-        // Static components over the total runtime.
         let total_cycles = phases.total_cycles();
-        let seconds = total_cycles as f64 / (self.config.freq_ghz * 1e9);
-        // DRAM standby.
-        energy.charge(
-            Component::DdrStandby,
-            DRAM_STANDBY_MW * 1e9 * seconds * self.config.ddr.bus_bytes as f64 / 8.0,
-        );
-        // Idle/leakage share of the core and NDP engine: 30% of the
-        // Table VII power draw, always on.
-        let static_mw = 0.3
-            * (acceleration_core_cost().total_power_mw() * self.config.pe_arrays as f64
-                + ndp_engine_cost().total_power_mw());
-        energy.charge(Component::Acc, static_mw * 1e9 * seconds);
+        self.charge_static_energy(total_cycles, &mut energy);
 
         if sp.is_recording() {
             sp.arg("platform", platform_name(&self.config))
@@ -419,13 +356,10 @@ impl CambriconQ {
     }
 
     /// Sums the PE cost of a layer's matmuls with their serial repeats
-    /// applied (the fold previously duplicated across
-    /// [`CambriconQ::simulate_inference`] and the training iteration):
-    /// the returned [`PeCost`] accumulates repeat-scaled cycles, energy
-    /// and MACs, and the `u64` is the compute-cycle total charged to
-    /// each MAC phase. `kfold` is the mapping's PE-level reduction fold
-    /// (1 = the legacy sweep).
-    fn layer_compute(&self, matmuls: &[cq_workloads::MatmulDims], kfold: u64) -> (PeCost, u64) {
+    /// applied: repeat-scaled cycles (charged to each MAC phase), energy
+    /// and MACs. `kfold` is the mapping's PE-level reduction fold (1 = the
+    /// legacy sweep).
+    fn layer_compute(&self, matmuls: &[cq_workloads::MatmulDims], kfold: u64) -> PeCost {
         let mut total = PeCost::default();
         for mm in matmuls {
             let c = self.pe.matmul_mapped(mm.m, mm.n, mm.k, kfold);
@@ -435,7 +369,7 @@ impl CambriconQ {
                 macs: c.macs * mm.serial_repeats,
             });
         }
-        (total, total.cycles)
+        total
     }
 
     /// Charges the three MAC phases (FW/NG/WG) of one layer through
@@ -458,7 +392,7 @@ impl CambriconQ {
     ) {
         let me = self.eval_mapping(mapping, matmuls);
         // ---- compute cost shared by the three MAC phases ----
-        let (compute, compute_cycles) = self.layer_compute(matmuls, me.kfold);
+        let compute = self.layer_compute(matmuls, me.kfold);
 
         // FW: read I(q) + W(q over bus), write O(q).
         let mut fw_reads = vec![
@@ -469,7 +403,7 @@ impl CambriconQ {
         push_spills(&mut fw_reads, &mut fw_writes, me.spill_elems);
         self.charge_mac_phase(
             Phase::Forward,
-            compute_cycles,
+            compute.cycles,
             compute.energy_pj,
             &fw_reads,
             &fw_writes,
@@ -489,7 +423,7 @@ impl CambriconQ {
         push_spills(&mut ng_reads, &mut ng_writes, me.spill_elems);
         self.charge_mac_phase(
             Phase::NeuronGrad,
-            compute_cycles,
+            compute.cycles,
             compute.energy_pj,
             &ng_reads,
             &ng_writes,
@@ -513,7 +447,7 @@ impl CambriconQ {
         push_spills(&mut wg_reads, &mut wg_writes, me.spill_elems);
         self.charge_mac_phase(
             Phase::WeightGrad,
-            compute_cycles,
+            compute.cycles,
             compute.energy_pj,
             &wg_reads,
             &wg_writes,
@@ -551,7 +485,15 @@ impl CambriconQ {
             &mut phases,
             &mut energy,
         );
-        let seconds = phases.total_cycles() as f64 / (self.config.freq_ghz * 1e9);
+        self.charge_static_energy(phases.total_cycles(), &mut energy);
+        (phases.total_cycles(), energy.total_pj())
+    }
+
+    /// Charges the time-proportional static energy of `cycles` of run
+    /// time: DRAM standby, plus the idle/leakage share of the core and
+    /// NDP engine (30% of the Table VII power draw, always on).
+    fn charge_static_energy(&self, cycles: u64, energy: &mut EnergyBreakdown) {
+        let seconds = cycles as f64 / (self.config.freq_ghz * 1e9);
         energy.charge(
             Component::DdrStandby,
             DRAM_STANDBY_MW * 1e9 * seconds * self.config.ddr.bus_bytes as f64 / 8.0,
@@ -560,7 +502,6 @@ impl CambriconQ {
             * (acceleration_core_cost().total_power_mw() * self.config.pe_arrays as f64
                 + ndp_engine_cost().total_power_mw());
         energy.charge(Component::Acc, static_mw * 1e9 * seconds);
-        (phases.total_cycles(), energy.total_pj())
     }
 
     /// Charges one MAC phase: compute overlapped with quantized streams.
@@ -576,7 +517,7 @@ impl CambriconQ {
         mem: &mut DdrModel,
         phases: &mut PhaseBreakdown,
         energy: &mut EnergyBreakdown,
-    ) -> u64 {
+    ) {
         // Memory stream time (bus-limited).
         let mut mem_cycles_ctrl = 0u64;
         let mut bus_bytes = 0f64;
@@ -640,7 +581,6 @@ impl CambriconQ {
         );
         // On-chip buffer traffic: operands in and out of NBin/SB/NBout.
         energy.charge(Component::Buf, self.energy.sram(bus_bytes * 2.0));
-        total + bubble
     }
 }
 
@@ -844,29 +784,6 @@ mod tests {
         let fc6 = profile.iter().find(|(n, _)| n == "fc6").unwrap();
         let conv1 = profile.iter().find(|(n, _)| n == "conv1").unwrap();
         assert!(fc6.1.cycles(Phase::WeightUpdate) > conv1.1.cycles(Phase::WeightUpdate) * 10);
-    }
-
-    #[test]
-    fn inference_is_cheaper_than_training() {
-        let chip = CambriconQ::edge();
-        let net = models::squeezenet_v1();
-        let inf = chip.simulate_inference(&net);
-        let train = chip.simulate(&net, sgd());
-        // Training = FW + NG + WG + WU: at least 3x the inference compute.
-        assert!(train.total_cycles() > inf.total_cycles() * 2);
-        assert!(inf.platform.contains("inference"));
-    }
-
-    #[test]
-    fn int4_inference_speedup() {
-        // §VII.C: 4-bit inference models run directly on the 4-bit PEs.
-        let int8 = CambriconQ::edge();
-        let int4 = CambriconQ::new(CqConfig::edge().with_format(IntFormat::Int4));
-        let net = models::resnet18();
-        let s = int4
-            .simulate_inference(&net)
-            .speedup_over(&int8.simulate_inference(&net));
-        assert!(s > 1.8 && s < 4.2, "INT4 inference speedup {s}");
     }
 
     #[test]

@@ -838,8 +838,8 @@ fn ddr_model_entries(reps: usize) -> Vec<Entry> {
 }
 
 /// The Table V ISA and its timing executor on one compiled 256×128×192
-/// dense forward: binary encode and decode, then the aggregate and the
-/// pipelined executor over the same program.
+/// dense forward: binary encode and decode, then the executor over the
+/// same program.
 fn isa_entries(reps: usize) -> Vec<Entry> {
     let _sp = cq_obs::span!("bench", "isa");
     let (m, k, n) = (256, 128, 192);
@@ -858,15 +858,10 @@ fn isa_entries(reps: usize) -> Vec<Entry> {
         || TimingExecutor::new(config.clone()).run(black_box(&program)),
         reps,
     );
-    let pipelined = best_ns(
-        || TimingExecutor::new(config.clone()).run_pipelined(black_box(&program)),
-        reps,
-    );
     vec![
         Entry::single("isa_codec", shape("encode"), encode),
         Entry::single("isa_codec", shape("decode"), decode),
         Entry::single("timing_executor", shape("run"), run),
-        Entry::single("timing_executor", shape("run_pipelined"), pipelined),
     ]
 }
 

@@ -18,7 +18,8 @@
 //! a grid either fits the queue's free slots now or the client gets a
 //! `rejected` frame with retry advice. The server never buffers an
 //! unadmitted cell, so its memory under overload is bounded by
-//! `queue_cap` plus per-connection line buffers.
+//! `queue_cap` plus one line buffer per connection, each capped at one
+//! 1 MiB frame (a longer line gets an `error` frame and a close).
 //!
 //! # Coalescing
 //!
@@ -48,11 +49,11 @@ use cq_par::{BatchRejected, BoundedQueue, Pool};
 use cq_resil::{run_task, RetryPolicy};
 use cq_sim::HwCostKey;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Test/chaos hook: runs inside the worker's retry loop before every
 /// simulation attempt of a cell. Panics it raises are isolated and
@@ -143,6 +144,20 @@ fn cell_key(cell: &Cell) -> HwCostKey {
     let config = registry::config(&cell.config).expect("cell presets validated at parse");
     let optimizer = registry::optimizer(&cell.optimizer).expect("cell presets validated at parse");
     CambriconQ::new(config).cache_key(&net, optimizer)
+}
+
+/// Longest request line the daemon buffers, newline excluded. A peer
+/// that sends more without a newline gets an `error` frame and the
+/// connection closes, so no connection's line buffer grows past this.
+const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// How long a connection closed for an over-long line keeps discarding
+/// the peer's input, so the `error` frame is not lost to a reset.
+const LINGER: Duration = Duration::from_secs(2);
+
+/// Writes one frame line and flushes it; `false` when the peer is gone.
+fn send(writer: &mut BufWriter<TcpStream>, frame: Frame) -> bool {
+    writeln!(writer, "{}", frame.encode()).is_ok() && writer.flush().is_ok()
 }
 
 /// A bound-but-not-yet-running sweep daemon.
@@ -270,31 +285,65 @@ impl Server {
         };
         let mut reader = BufReader::new(read_half);
         let mut writer = BufWriter::new(stream);
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
-                let _ = writeln!(writer, "{}", Frame::ShuttingDown.encode());
-                let _ = writer.flush();
+                let _ = send(&mut writer, Frame::ShuttingDown);
                 return;
             }
-            match reader.read_line(&mut line) {
+            // Room for one frame and its newline, never more.
+            let budget = (MAX_FRAME_BYTES + 1 - line.len()) as u64;
+            match reader.by_ref().take(budget).read_until(b'\n', &mut line) {
                 Ok(0) => return, // EOF
                 Ok(_) => {
-                    let complete = line.ends_with('\n');
-                    let trimmed = line.trim().to_string();
-                    if complete {
-                        line.clear();
+                    let complete = line.ends_with(b"\n");
+                    if !complete && line.len() > MAX_FRAME_BYTES {
+                        cq_obs::counter!("serve.bad_requests").incr();
+                        self.reject_oversized(&mut reader, &mut writer);
+                        return;
                     }
-                    if !trimmed.is_empty() && !self.handle_line(&trimmed, &mut writer) {
+                    let Ok(text) = std::str::from_utf8(&line) else {
+                        return;
+                    };
+                    let trimmed = text.trim();
+                    if !trimmed.is_empty() && !self.handle_line(trimmed, &mut writer) {
                         return;
                     }
                     if !complete {
                         // Final unterminated line before EOF.
                         return;
                     }
+                    line.clear();
                 }
                 // Timeout: loop to re-check the shutdown flag. Data read
                 // before the timeout stays accumulated in `line`.
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Answers an over-long request line with an `error` frame, then
+    /// closes gracefully: the write half shuts first, and the rest of the
+    /// peer's input is read and discarded for at most [`LINGER`]. Closing
+    /// with input still unread would reset the connection, and the reset
+    /// can destroy the frame before the peer reads it.
+    fn reject_oversized(
+        &self,
+        reader: &mut BufReader<TcpStream>,
+        writer: &mut BufWriter<TcpStream>,
+    ) {
+        let error = format!("request line longer than {MAX_FRAME_BYTES} bytes");
+        if !send(writer, Frame::Error { error }) {
+            return;
+        }
+        let _ = writer.get_ref().shutdown(Shutdown::Write);
+        let deadline = Instant::now() + LINGER;
+        let mut discard = [0u8; 8192];
+        while Instant::now() < deadline && !self.shutdown.load(Ordering::SeqCst) {
+            match reader.read(&mut discard) {
+                Ok(0) => return,
+                Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
                 Err(_) => return,
             }
@@ -305,9 +354,6 @@ impl Server {
     /// should close (shutdown acknowledged or the peer is gone).
     fn handle_line(&self, line: &str, writer: &mut BufWriter<TcpStream>) -> bool {
         cq_obs::counter!("serve.requests").incr();
-        let send = |writer: &mut BufWriter<TcpStream>, frame: Frame| -> bool {
-            writeln!(writer, "{}", frame.encode()).is_ok() && writer.flush().is_ok()
-        };
         match parse_request(line) {
             Err(e) => {
                 cq_obs::counter!("serve.bad_requests").incr();
@@ -319,16 +365,11 @@ impl Server {
                 let _ = send(writer, Frame::ShuttingDown);
                 false
             }
-            Ok(Request::Sweep(req)) => self.handle_sweep(&req, writer, &send),
+            Ok(Request::Sweep(req)) => self.handle_sweep(&req, writer),
         }
     }
 
-    fn handle_sweep(
-        &self,
-        req: &SweepRequest,
-        writer: &mut BufWriter<TcpStream>,
-        send: &dyn Fn(&mut BufWriter<TcpStream>, Frame) -> bool,
-    ) -> bool {
+    fn handle_sweep(&self, req: &SweepRequest, writer: &mut BufWriter<TcpStream>) -> bool {
         let cells = req.cells();
         let n = cells.len();
         let (tx, rx) = mpsc::channel();

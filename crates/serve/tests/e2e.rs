@@ -204,6 +204,36 @@ fn invalid_requests_get_error_frames_and_the_connection_survives() {
 }
 
 #[test]
+fn over_long_line_gets_an_error_frame_and_the_daemon_survives() {
+    let (addr, handle, join) = start(ServerConfig::default());
+    let mut client = Client::connect(&addr);
+    // Fail rather than hang if the daemon keeps buffering the line.
+    let timeout = Some(Duration::from_secs(30));
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(timeout)
+        .expect("timeout");
+
+    // 2 MiB with no newline, twice the daemon's 1 MiB frame cap.
+    client.writer.write_all(&vec![b'x'; 2 << 20]).expect("send");
+    client.writer.flush().expect("flush");
+    match client.recv() {
+        Frame::Error { error } => assert!(error.contains("longer than"), "{error}"),
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    // The daemon closes that connection after the frame.
+    let mut rest = String::new();
+    assert_eq!(client.reader.read_line(&mut rest).expect("eof"), 0);
+
+    let mut fresh = Client::connect(&addr);
+    fresh.send("{\"type\":\"ping\"}");
+    assert_eq!(fresh.recv(), Frame::Pong);
+
+    stop(&handle, join);
+}
+
+#[test]
 fn full_queue_rejects_with_retry_advice_and_oversized_grids_error() {
     let gate = Gate::new();
     let entered = Gate::new();
